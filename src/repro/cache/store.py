@@ -11,9 +11,24 @@ the guarantees are what matter:
 - **corruption tolerance**: an unreadable, truncated, or
   garbage entry is a *miss* (with a one-line warning), never an
   exception — the bad file is discarded and recomputed;
-- **bounded size**: an LRU cap (default 512 MiB, ``REPRO_CACHE_MAX_MB``)
-  evicts least-recently-used entries after writes; hits refresh an
-  entry's timestamp;
+- **bounded size**: an LRU cap (default 512 MiB, ``REPRO_CACHE_MAX_MB``);
+  hits refresh an entry's timestamp.  A write costs O(1) amortized: each
+  handle keeps a running byte total, seeded by one directory scan on its
+  first write and then advanced by the size of each file it writes.  The
+  store is re-scanned only when that total passes the cap, or when this
+  handle's writes since its last scan exceed ``RESYNC_FRACTION`` of the
+  headroom that scan found.  A re-scan re-syncs the total with the disk
+  and, if the store is over the cap, evicts least-recently-used entries
+  down to ``LOW_WATER_FRACTION`` of it, so a store sitting at its cap
+  does not re-scan on every write.  Overwrites and discarded corrupt
+  entries are never subtracted: the total can only overcount, which
+  just brings the next re-scan forward.  One handle, however many
+  threads share it, is at or under the cap whenever no write is in
+  flight.  *K* handles writing one directory at once (forked suite
+  workers each have their own) cannot see each other's writes between
+  scans, so the directory can peak at
+  ``max_bytes * (1 + (K - 1) * RESYNC_FRACTION)`` plus one entry per
+  write in flight; the next re-scan brings it back under the cap;
 - **observable**: per-layer hit/miss/put/eviction counters
   (:class:`StoreStats`) that the CLI surfaces and the explorer
   aggregates across workers.
@@ -32,12 +47,17 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: default cache root, under the user's cache directory
 DEFAULT_CACHE_DIR = "~/.cache/repro-flexcl"
 #: default LRU size cap in MiB (``REPRO_CACHE_MAX_MB`` overrides)
 DEFAULT_MAX_MB = 512
+#: an over-cap store is evicted down to this fraction of its cap
+LOW_WATER_FRACTION = 0.9
+#: a handle re-scans once its writes since its last scan exceed this
+#: fraction of the headroom below the cap that scan found
+RESYNC_FRACTION = 0.5
 
 
 @dataclass
@@ -115,10 +135,11 @@ class ArtifactCache:
 
     Instances are safe to share between threads (the serve daemon's
     worker pool reads and writes one store concurrently): the stats
-    counters and the eviction scan are guarded by a lock.  File
-    operations themselves were already concurrency-safe — atomic
-    ``os.replace`` writes and miss-on-unreadable reads — so the lock
-    only serialises the in-process bookkeeping.
+    counters, the running byte total and the eviction scan are guarded
+    by a lock.  File operations themselves were already
+    concurrency-safe — atomic ``os.replace`` writes and
+    miss-on-unreadable reads — so the lock only serialises the
+    in-process bookkeeping.
     """
 
     def __init__(self, root, max_bytes: Optional[int] = None) -> None:
@@ -128,6 +149,11 @@ class ArtifactCache:
         self.max_bytes = max_bytes
         self.stats = StoreStats()
         self._lock = threading.Lock()
+        #: running byte total of the store (None until the first write
+        #: seeds it) and what this handle may still write before it
+        #: re-scans; both guarded by ``_lock``
+        self._total: Optional[int] = None
+        self._budget = 0
 
     # -- paths ---------------------------------------------------------
 
@@ -172,6 +198,7 @@ class ArtifactCache:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    size = fh.tell()
                 os.replace(tmp, path)
             except BaseException:
                 self._discard(Path(tmp))
@@ -184,7 +211,7 @@ class ArtifactCache:
             return
         with self._lock:
             self.stats._bump(self.stats.puts, layer)
-        self._maybe_evict()
+            self._account(size)
 
     def get_or_compute(self, layer: str, key: str,
                        compute: Callable[[], Any]) -> Any:
@@ -207,57 +234,80 @@ class ArtifactCache:
     def entry_count(self) -> int:
         return sum(1 for _ in self.entries())
 
-    def size_bytes(self) -> int:
+    def usage(self) -> Tuple[Dict[str, int], int]:
+        """Entries per layer and total bytes, from one walk of the store."""
+        counts: Dict[str, int] = {}
         total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        for _, size, path in self._scan():
+            layer = path.parent.parent.name
+            counts[layer] = counts.get(layer, 0) + 1
+            total += size
+        return counts, total
+
+    def size_bytes(self) -> int:
+        return self.usage()[1]
+
+    def layer_counts(self) -> Dict[str, int]:
+        return self.usage()[0]
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in list(self.entries()):
-            if self._discard(path):
-                removed += 1
+        with self._lock:
+            removed = 0
+            for path in list(self.entries()):
+                if self._discard(path):
+                    removed += 1
+            self._sync(0)
         return removed
 
-    def layer_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
+    def _scan(self) -> List[Tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every entry still on disk."""
+        found = []
         for path in self.entries():
-            layer = path.parent.parent.name
-            counts[layer] = counts.get(layer, 0) + 1
-        return counts
+            try:
+                st = path.stat()
+            except OSError:
+                continue
+            found.append((st.st_mtime, st.st_size, path))
+        return found
 
-    def _maybe_evict(self) -> None:
-        """Evict least-recently-used entries while over the size cap.
+    def _sync(self, total: int) -> None:
+        self._total = total
+        self._budget = int((self.max_bytes - total) * RESYNC_FRACTION)
 
-        The whole scan-and-discard runs under the lock: two concurrent
-        writers must not race the same LRU scan (each would discard the
-        other's survivors and double-count evictions).
-        """
+    def _account(self, size: int) -> None:
+        """Add one write of *size* bytes to the running total; re-scan
+        when it passes the cap or outruns this handle's budget.  Caller
+        holds the lock."""
         if self.max_bytes <= 0:
             return
-        with self._lock:
-            entries = []
-            total = 0
-            for path in self.entries():
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                entries.append((st.st_mtime, st.st_size, path))
-                total += st.st_size
-            if total <= self.max_bytes:
+        if self._total is not None:
+            self._total += size
+            self._budget -= size
+            if self._total <= self.max_bytes and self._budget >= 0:
                 return
+        self._rescan()
+
+    def _rescan(self) -> None:
+        """Re-sync the running total with the disk and, when over the
+        cap, evict least-recently-used entries down to the low-water
+        mark.
+
+        Runs under the lock: two concurrent writers must not race the
+        same LRU scan (each would discard the other's survivors and
+        double-count evictions).
+        """
+        entries = self._scan()
+        total = sum(size for _, size, _ in entries)
+        if total > self.max_bytes:
+            low_water = int(self.max_bytes * LOW_WATER_FRACTION)
             for _, size, path in sorted(entries):
-                if total <= self.max_bytes:
+                if total <= low_water:
                     break
                 if self._discard(path):
                     total -= size
                     self.stats.evictions += 1
+        self._sync(total)
 
     @staticmethod
     def _touch(path: Path) -> None:

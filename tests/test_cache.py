@@ -1,8 +1,12 @@
 """Unit tests for ``repro.cache``: keys, the store, and invalidation."""
 
 import dataclasses
+import json
+import multiprocessing
 import os
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,11 +16,13 @@ from repro.cache import (
     SCHEMA_VERSIONS,
     ArtifactCache,
     StoreStats,
+    cache_payload,
     device_fingerprint,
     function_fingerprint,
     open_cache,
     resolve_cache_dir,
 )
+from repro.cache.store import LOW_WATER_FRACTION, RESYNC_FRACTION
 from repro.devices import KU060, VIRTEX7
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, NDRange
@@ -228,6 +234,158 @@ class TestStore:
         cache.put("pe", "ab" + "0" * 62, 2)
         cache.put("table1", "cc" + "0" * 62, 3)
         assert cache.layer_counts() == {"pe": 2, "table1": 1}
+
+
+def _key(i, tag="e"):
+    return f"{i % 100:02d}" + f"{tag}{i:08d}".ljust(62, "0")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts directory walks (calls to ``ArtifactCache.entries``)."""
+    calls = []
+    original = ArtifactCache.entries
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(ArtifactCache, "entries", counting)
+    return calls
+
+
+def _forked_writer(root, cap, writer, n, peak_file):
+    cache = ArtifactCache(root, max_bytes=cap)
+    peak = 0
+    for i in range(n):
+        cache.put("pe", _key(i, tag=f"w{writer}"), b"x" * 2_000)
+        peak = max(peak, cache.size_bytes())
+    peak_file.write_text(str(peak))
+
+
+class TestRunningTotal:
+    """Writes are O(1) amortized: the store keeps a running byte total
+    and walks the directory only to re-sync or evict."""
+
+    def test_puts_under_cap_walk_at_most_once(self, tmp_path, walks):
+        cache = ArtifactCache(tmp_path, max_bytes=10 * 1024 * 1024)
+        for i in range(200):
+            cache.put("pe", _key(i), b"x" * 1_000)
+        assert len(walks) <= 1
+        assert cache.entry_count() == 200
+
+    def test_over_cap_evicts_to_low_water_then_stops_scanning(
+            self, tmp_path, walks):
+        cap = 100_000
+        cache = ArtifactCache(tmp_path, max_bytes=cap)
+        n = 0
+        while cache.stats.evictions == 0:
+            cache.put("pe", _key(n), b"x" * 1_000)
+            os.utime(cache._entry_path("pe", _key(n)),
+                     (1_000_000 + n, 1_000_000 + n))
+            n += 1
+            assert n < 500
+        assert cache.size_bytes() <= int(cap * LOW_WATER_FRACTION)
+        # Oldest-first: the survivors are exactly the newest entries.
+        alive = [i for i in range(n)
+                 if cache._entry_path("pe", _key(i)).is_file()]
+        assert len(alive) == n - cache.stats.evictions
+        assert alive == list(range(n - len(alive), n))
+        before = len(walks)
+        for i in range(n, n + 3):
+            cache.put("pe", _key(i), b"x" * 1_000)
+        assert len(walks) == before
+
+    def test_clear_resets_running_total(self, tmp_path, walks):
+        cache = ArtifactCache(tmp_path, max_bytes=50_000)
+        for i in range(40):
+            cache.put("pe", _key(i), b"x" * 1_000)
+        cache.clear()
+        before = len(walks)
+        for i in range(10):
+            cache.put("pe", _key(i), b"x" * 1_000)
+        assert len(walks) == before
+        assert cache.entry_count() == 10
+
+    def test_total_never_undercounts_disk(self, tmp_path):
+        cache = ArtifactCache(tmp_path, max_bytes=10 * 1024 * 1024)
+        for _ in range(3):                      # overwrites
+            cache.put("pe", _key(1), b"x" * 5_000)
+        cache.put("pe", _key(2), b"y" * 5_000)
+        cache._entry_path("pe", _key(2)).write_bytes(b"garbage")
+        with pytest.warns(RuntimeWarning, match="unreadable entry"):
+            assert cache.get("pe", _key(2)) == (False, None)
+        assert cache._total >= cache.size_bytes()
+
+    def test_forked_writers_stay_within_overshoot_bound(self, tmp_path):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        ctx = multiprocessing.get_context("fork")
+        cap, writers = 60_000, 2
+        peaks = [tmp_path / f"peak{w}" for w in range(writers)]
+        procs = [ctx.Process(target=_forked_writer,
+                             args=(tmp_path / "store", cap, w, 150,
+                                   peaks[w]))
+                 for w in range(writers)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert not proc.is_alive() and proc.exitcode == 0
+        entry = max(path.stat().st_size for path in
+                    ArtifactCache(tmp_path / "store").entries())
+        bound = cap * (1 + (writers - 1) * RESYNC_FRACTION) + \
+            writers * entry
+        assert max(int(p.read_text()) for p in peaks) <= bound
+        assert ArtifactCache(tmp_path / "store").size_bytes() <= bound
+
+    def test_threaded_puts_keep_cap_and_count_evictions(self, tmp_path):
+        cap, threads, per_thread = 40_000, 8, 40
+        cache = ArtifactCache(tmp_path, max_bytes=cap)
+        errors = []
+
+        def writer(t):
+            try:
+                for i in range(per_thread):
+                    cache.put("pe", _key(i, tag=f"t{t}"), b"x" * 2_000)
+            except Exception as exc:            # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=writer, args=(t,))
+                    for t in range(threads)]
+            for th in pool:
+                th.start()
+            for th in pool:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        # One handle with no write in flight is at or under its cap.
+        assert cache.size_bytes() <= cap
+        assert cache.stats.evictions > 0
+        assert cache.stats.evictions == \
+            threads * per_thread - cache.entry_count()
+
+    def test_payload_matches_the_disk(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put("pe", _key(1), 1)
+        cache.put("pe", _key(2), b"x" * 3_000)
+        cache.put("table1", _key(3), 3)
+        files = sorted(tmp_path.glob("*/??/*.pkl"))
+        expected = {
+            "root": str(cache.root),
+            "entries": len(files),
+            "layers": {"pe": 2, "table1": 1},
+            "size_bytes": sum(path.stat().st_size for path in files),
+            "max_bytes": cache.max_bytes,
+            "stats": cache.stats.to_dict(),
+        }
+        assert json.dumps(cache_payload(cache), indent=2, sort_keys=True) \
+            == json.dumps(expected, indent=2, sort_keys=True)
 
 
 class TestConfiguration:
