@@ -10,13 +10,13 @@ Runs the workload-catalog batch evaluator
   now-populated store (new ``ArtifactCache`` instance, in-process
   pattern memo cleared) — every expensive stage loads from disk;
 
-All three runs use the full cold-path engine stack
-(``static_trace='auto'``, ``interp='auto'``): kernels proved STATIC
-have their traces synthesized analytically, and the data-dependent rest
-executes on the lane-vectorized interpreter.  A fourth run —
+All three runs let the analysis pick its trace engine: kernels proved
+STATIC have their traces synthesized analytically, and the
+data-dependent rest executes on the lane-vectorized interpreter.  A
+fourth run —
 
-- ``interp``  : uncached with ``static_trace='never'`` and
-  ``interp='scalar'`` — the original work-item-at-a-time cold path;
+- ``interp``  : uncached with ``engine='scalar'`` — the original
+  work-item-at-a-time cold path;
 
 measures what the trace engines buy together.  The catalog is then
 split into its **static** and **dynamic** subsets and each is timed in
@@ -67,13 +67,11 @@ def _fresh_process_state() -> None:
     model_memory._PATTERN_CACHE.clear()
 
 
-def _run(workloads, jobs, designs, cache, static_trace="auto",
-         interp="auto"):
+def _run(workloads, jobs, designs, cache, engine=None):
     _fresh_process_state()
     t0 = time.perf_counter()
     result = run_suite(workloads, VIRTEX7, jobs=jobs, cache=cache,
-                       designs_per_kernel=designs,
-                       static_trace=static_trace, interp=interp)
+                       designs_per_kernel=designs, engine=engine)
     return result, time.perf_counter() - t0
 
 
@@ -112,10 +110,10 @@ def main() -> int:
         # 0. Scalar-interpreter-only cold path: the original baseline
         #    (no synthesis, no lane vectorization).
         interp, t_interp = _run(workloads, jobs, args.designs, None,
-                                static_trace="never", interp="scalar")
+                                engine="scalar")
         print(f"interp   : {t_interp:7.2f}s "
               f"({len(interp.predictions)} predictions, "
-              f"static_trace=never, interp=scalar)")
+              f"engine=scalar)")
 
         # 1. No cache at all: the reference behaviour and timings.
         uncached, t_uncached = _run(workloads, jobs, args.designs, None)
@@ -157,8 +155,7 @@ def main() -> int:
         # keeps one engine's win from diluting the other's ratio.
         static_wl, dynamic_wl = _split_subsets(workloads)
         s_interp, t_s_interp = _run(static_wl, jobs, args.designs, None,
-                                    static_trace="never",
-                                    interp="scalar")
+                                    engine="scalar")
         s_auto, t_s_auto = _run(static_wl, jobs, args.designs, None)
         assert s_interp.rows() == s_auto.rows()
         static_speedup = (t_s_interp / t_s_auto if t_s_auto > 0
@@ -168,11 +165,9 @@ def main() -> int:
               f"({t_s_interp:.2f}s -> {t_s_auto:.2f}s)")
 
         d_scalar, t_d_scalar = _run(dynamic_wl, jobs, args.designs,
-                                    None, static_trace="never",
-                                    interp="scalar")
+                                    None, engine="scalar")
         d_vec, t_d_vec = _run(dynamic_wl, jobs, args.designs, None,
-                              static_trace="never",
-                              interp="vectorized")
+                              engine="vectorized")
         assert d_scalar.rows() == d_vec.rows(), \
             "vectorized predictions diverged from scalar on the " \
             "dynamic subset"

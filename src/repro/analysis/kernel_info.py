@@ -42,27 +42,14 @@ from repro.latency.optable import OpLatencyTable
 #: shape varies with a short row period (guarded stencils).
 DEFAULT_PROFILE_GROUPS = 4
 
-#: ``static_trace`` modes accepted by :func:`analyze_kernel`.
-STATIC_TRACE_MODES = ("auto", "always", "never")
-
-#: ``interp`` modes accepted by :func:`analyze_kernel` — the dynamic
-#: (non-synthesized) trace producer.  ``"auto"`` vectorizes non-pipe
-#: kernels and falls back to the scalar interpreter on
-#: :class:`~repro.interp.vexec.VectorizationError`; ``"vectorized"``
-#: demands lane vectorization; ``"scalar"`` always interprets per
-#: work-item.
-INTERP_MODES = ("auto", "vectorized", "scalar")
+#: trace producers :func:`analyze_kernel` can be forced to use (the
+#: default, ``engine=None``, picks one from the kernel)
+ENGINES = ("synth", "vectorized", "scalar")
 
 
 class StaticTraceUnavailable(RuntimeError):
-    """Raised by ``static_trace='always'`` when the kernel's access
-    summary is IRREGULAR (or synthesis fails at runtime)."""
-
-
-class StaticTraceMismatch(AssertionError):
-    """Raised by ``verify=True`` when a synthesized trace disagrees
-    with the interpreter — always a bug in the summary engine or the
-    synthesizer, never expected in normal operation."""
+    """Raised by ``engine='synth'`` when the kernel's access summary is
+    IRREGULAR (or synthesis fails at runtime)."""
 
 
 # Per-function memoization for work the explorer repeats across
@@ -162,9 +149,6 @@ class KernelInfo:
     #: bytes of __local memory declared by the kernel (per CU)
     local_mem_bytes: int = 0
     barriers_per_wi: int = 0
-    #: True when the traces came from the static synthesizer rather
-    #: than the profiling interpreter
-    static_trace_used: bool = False
     #: which engine produced the traces: ``"synth"`` (static
     #: synthesizer), ``"vectorized"`` (lane-vectorized interpreter),
     #: or ``"scalar"`` (per-work-item interpreter)
@@ -232,38 +216,32 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
                    scalars: Dict[str, object], ndrange: NDRange,
                    device, table: Optional[OpLatencyTable] = None,
                    profile_groups: int = DEFAULT_PROFILE_GROUPS,
-                   cache=None, static_trace: str = "auto",
-                   verify: bool = False,
+                   cache=None,
                    launch: Optional[LaunchResult] = None,
-                   interp: str = "auto") -> KernelInfo:
+                   engine: Optional[str] = None) -> KernelInfo:
     """Run FlexCL kernel analysis.  *buffers* are consumed (the profiling
     run mutates them); pass fresh copies if the caller needs the data.
 
-    *static_trace* selects the trace producer: ``"auto"`` (default)
-    synthesizes the profile analytically when the access summary proves
-    the kernel STATIC and interprets otherwise; ``"never"`` always
-    interprets; ``"always"`` demands synthesis and raises
-    :class:`StaticTraceUnavailable` when the kernel is IRREGULAR.
-    *verify* additionally interprets and cross-checks every synthesized
-    trace address-for-address (:class:`StaticTraceMismatch` on any
-    disagreement).
+    The profiled traces come from the fastest engine that can produce
+    them: the static synthesizer when the access summary proves the
+    kernel STATIC, else the lane-vectorized interpreter
+    (:class:`repro.interp.vexec.VectorizedExecutor`), else — on
+    :class:`~repro.interp.vexec.VectorizationError` — the per-work-item
+    :class:`KernelExecutor`.  All three produce bit-identical launches
+    and traces, so the choice never changes a prediction;
+    :attr:`KernelInfo.trace_source` records which one ran.
 
-    *interp* selects the dynamic trace producer used when synthesis is
-    off or unavailable: ``"auto"`` (default) runs the lane-vectorized
-    interpreter (:class:`repro.interp.vexec.VectorizedExecutor`) and
-    falls back to the scalar :class:`KernelExecutor` on
-    :class:`~repro.interp.vexec.VectorizationError`; ``"vectorized"``
-    demands vectorization (the error propagates); ``"scalar"`` always
-    uses the per-work-item interpreter.  All three produce bit-identical
-    launches and traces; with ``verify=True`` a vectorized profile is
-    additionally cross-checked against the scalar interpreter.
+    *engine* forces one producer from :data:`ENGINES` and raises when it
+    cannot run (:class:`StaticTraceUnavailable` for ``"synth"``,
+    :class:`~repro.interp.vexec.VectorizationError` for
+    ``"vectorized"``).  It exists for the differential tests and the
+    engine benchmarks; everything else leaves it at ``None``.
 
     With a :class:`repro.cache.ArtifactCache` as *cache*, the analysis
     is content-addressed: a prior run with the same kernel, inputs, and
     device (in any process) is loaded from disk instead of re-profiled,
-    and a cache hit leaves *buffers* untouched.  The result is
-    bit-identical either way — synthesized and interpreted analyses
-    produce identical traces, but are cached under distinct keys.
+    and a cache hit leaves *buffers* untouched.  Each engine's analyses
+    are cached under distinct keys.
 
     Pipe kernels cannot be profiled standalone (a blocking FIFO op only
     makes progress when the peer kernel is live): co-execute the whole
@@ -272,12 +250,9 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
     then skipped, and the persistent cache is bypassed (the launch came
     from outside this function's hashed inputs).
     """
-    if static_trace not in STATIC_TRACE_MODES:
-        raise ValueError(f"static_trace must be one of "
-                         f"{STATIC_TRACE_MODES}, got {static_trace!r}")
-    if interp not in INTERP_MODES:
-        raise ValueError(f"interp must be one of {INTERP_MODES}, "
-                         f"got {interp!r}")
+    if engine is not None and engine not in ENGINES:
+        raise ValueError(f"engine must be None or one of {ENGINES}, "
+                         f"got {engine!r}")
     if table is None:
         table = OpLatencyTable.for_device(device)
 
@@ -285,27 +260,23 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
         return _analyze_from_launch(fn, ndrange, device, table, launch)
 
     summary = None
-    if static_trace != "never":
+    static = False
+    if engine in (None, "synth"):
         from repro.lint.summary import VERDICT_STATIC, summarize_kernel
         summary = summarize_kernel(fn)
-        if static_trace == "always" and summary.verdict != VERDICT_STATIC:
+        static = summary.verdict == VERDICT_STATIC
+        if engine == "synth" and not static:
             why = "; ".join(f"{r.code} at {r.where}"
                             for r in summary.reasons[:4])
             raise StaticTraceUnavailable(
                 f"kernel {fn.name} is {summary.verdict}: {why}")
-        if summary.verdict != VERDICT_STATIC:
-            summary_static = False
-        else:
-            summary_static = True
-    else:
-        summary_static = False
 
     # Hash the inputs before profiling mutates the buffers; the key
     # doubles as the KernelInfo fingerprint the sub-model caches use.
     launch = None
-    static_used = False
+    trace_source = None
     fingerprint = None
-    if summary_static:
+    if static:
         fingerprint = analysis_fingerprint(
             fn, buffers, scalars, ndrange, device, table, profile_groups,
             summary_fingerprint=summary.fingerprint)
@@ -321,57 +292,42 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
             synthesizer = _synthesizer_for(fn, buffers, scalars)
             launch = synthesizer.run(ndrange,
                                      max_groups=max(profile_groups, 1))
-            static_used = True
+            trace_source = "synth"
         except SynthesisError as exc:
             # The summary over-promised (or the launch hits a runtime
             # condition the executor would also fault on): fall back to
             # interpretation, which reproduces the real error behaviour.
-            if static_trace == "always":
+            if engine == "synth":
                 raise StaticTraceUnavailable(
                     f"synthesis failed for {fn.name}: {exc}") from exc
-            launch = None
-        if launch is not None and verify:
-            _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                        profile_groups, launch)
 
-    trace_source = "synth" if static_used else "scalar"
-    if launch is None:
-        if interp != "scalar":
-            from repro.interp.vexec import (
-                VEXEC_ENGINE_VERSION,
-                VectorizationError,
-                VectorizedExecutor,
-            )
-            fp_vec = analysis_fingerprint(
-                fn, buffers, scalars, ndrange, device, table,
-                profile_groups,
-                trace_engine=("vexec", VEXEC_ENGINE_VERSION))
-            if cache is not None:
-                found, cached = cache.get("analysis", fp_vec)
-                if found and isinstance(cached, KernelInfo):
-                    return cached
-            for i, inst in enumerate(fn.instructions()):
-                inst.site_id = i  # type: ignore[attr-defined]
-            snapshot = ({name: b.data.copy() for name, b in buffers.items()}
-                        if verify else None)
-            try:
-                executor = VectorizedExecutor(fn, buffers, scalars)
-                launch = executor.run(ndrange,
-                                      max_groups=max(profile_groups, 1))
-                fingerprint = fp_vec
-                trace_source = "vectorized"
-            except VectorizationError:
-                # The kernel (or this launch) left the vectorizable
-                # subset; the buffers were restored, so scalar
-                # interpretation reproduces canonical behaviour.
-                if interp == "vectorized":
-                    raise
-                launch = None
-            if launch is not None and verify:
-                for name, buf in buffers.items():
-                    buf.data[...] = snapshot[name]
-                _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                            profile_groups, launch)
+    if launch is None and engine in (None, "vectorized"):
+        from repro.interp.vexec import (
+            VEXEC_ENGINE_VERSION,
+            VectorizationError,
+            VectorizedExecutor,
+        )
+        fp_vec = analysis_fingerprint(
+            fn, buffers, scalars, ndrange, device, table, profile_groups,
+            trace_engine=("vexec", VEXEC_ENGINE_VERSION))
+        if cache is not None:
+            found, cached = cache.get("analysis", fp_vec)
+            if found and isinstance(cached, KernelInfo):
+                return cached
+        for i, inst in enumerate(fn.instructions()):
+            inst.site_id = i  # type: ignore[attr-defined]
+        try:
+            executor = VectorizedExecutor(fn, buffers, scalars)
+            launch = executor.run(ndrange,
+                                  max_groups=max(profile_groups, 1))
+            fingerprint = fp_vec
+            trace_source = "vectorized"
+        except VectorizationError:
+            # The kernel (or this launch) left the vectorizable subset;
+            # the buffers were restored, so scalar interpretation
+            # reproduces canonical behaviour.
+            if engine == "vectorized":
+                raise
 
     if launch is None:
         fingerprint = analysis_fingerprint(fn, buffers, scalars, ndrange,
@@ -388,10 +344,10 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
         # and cache serialisation stay on the fast path either way.
         launch.traces = pack_traces(launch.traces,
                                     ndrange.work_group_size)
+        trace_source = "scalar"
 
     info = _build_info(fn, ndrange, device, table, launch,
-                       fingerprint, static_used, summary,
-                       trace_source=trace_source)
+                       fingerprint, summary, trace_source=trace_source)
     if cache is not None:
         cache.put("analysis", fingerprint, info)
     return info
@@ -408,14 +364,14 @@ def _analyze_from_launch(fn: Function, ndrange: NDRange, device,
         launch.traces = pack_traces(launch.traces,
                                     ndrange.work_group_size)
     return _build_info(fn, ndrange, device, table, launch,
-                       fingerprint=None, static_used=False, summary=None,
+                       fingerprint=None, summary=None,
                        trace_source="scalar")
 
 
 def _build_info(fn: Function, ndrange: NDRange, device,
                 table: OpLatencyTable, launch: LaunchResult,
-                fingerprint: Optional[str], static_used: bool,
-                summary, trace_source: str = "scalar") -> KernelInfo:
+                fingerprint: Optional[str], summary,
+                trace_source: str = "scalar") -> KernelInfo:
     loop_nest = find_loops(fn)
     items = max(launch.work_items_executed, 1)
     block_weights = {name: count / items
@@ -443,7 +399,6 @@ def _build_info(fn: Function, ndrange: NDRange, device,
             table.dsp_cost(node.inst) for node in function_dfg.nodes)),
         local_mem_bytes=_local_mem_bytes(fn),
         barriers_per_wi=launch.barriers_per_item,
-        static_trace_used=static_used,
         trace_source=trace_source,
         summary_verdict=(summary.verdict if summary is not None
                          else None),
@@ -473,30 +428,6 @@ def _pipe_traffic(fn: Function,
                               reads_per_wi=reads.get(name, 0.0),
                               writes_per_wi=writes.get(name, 0.0))
             for name in sorted(elem)}
-
-
-def _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                profile_groups, launch) -> None:
-    """Cross-check a synthesized launch against the interpreter,
-    address-for-address.  Raises :class:`StaticTraceMismatch`."""
-    executor = KernelExecutor(fn, buffers, scalars)
-    ref = executor.run(ndrange, max_groups=max(profile_groups, 1))
-    if len(ref.traces) != len(launch.traces):
-        raise StaticTraceMismatch(
-            f"{fn.name}: {len(launch.traces)} synthesized work-item "
-            f"traces vs {len(ref.traces)} interpreted")
-    for wi in range(len(ref.traces)):
-        if list(launch.traces[wi]) != list(ref.traces[wi]):
-            raise StaticTraceMismatch(
-                f"{fn.name}: work-item {wi} trace differs between "
-                f"synthesis and interpretation")
-    for field_name in ("groups_executed", "work_items_executed",
-                       "block_counts", "trip_counts",
-                       "barriers_per_item"):
-        if getattr(ref, field_name) != getattr(launch, field_name):
-            raise StaticTraceMismatch(
-                f"{fn.name}: {field_name} differs between synthesis "
-                f"and interpretation")
 
 
 def _add_recurrence_edges(graph: DataFlowGraph,

@@ -61,8 +61,7 @@ class CLIError(Exception):
 _SPEC_FIELD_FLAGS = {
     "'kernel'": "--kernel NAME",
     "'global_size'": "--global-size",
-    "'static_trace'": "--static-trace",
-    "'interp'": "--interp",
+    "'wg'": "--wg",
     "'args'": "--arg",
 }
 
@@ -125,10 +124,7 @@ def _frontend(args):
     else:
         fn = module.kernels[0]
     device = device_by_name(args.device)
-    overrides = dict(
-        kv.split("=", 1) for kv in (args.arg or []))
-    overrides = {k: float(v) for k, v in overrides.items()}
-    return fn, device, overrides
+    return fn, device, _spec_args(args)
 
 
 def _open_cache(args):
@@ -153,17 +149,7 @@ def _analyze_wg(fn, device, args, overrides, wg: int, cache=None):
     buffers, scalars = _build_buffers(fn, args.global_size, overrides)
     return analyze_kernel(fn, buffers, scalars,
                           NDRange(args.global_size, wg), device,
-                          cache=cache,
-                          static_trace=getattr(args, "static_trace",
-                                               "auto"),
-                          interp=getattr(args, "interp", "auto"))
-
-
-def _analyze(args, wg: Optional[int] = None, cache=None):
-    fn, device, overrides = _frontend(args)
-    info = _analyze_wg(fn, device, args, overrides, wg or args.wg,
-                       cache=cache)
-    return fn, info, device
+                          cache=cache)
 
 
 def _print_diagnostics(fn, source: str) -> None:
@@ -282,11 +268,18 @@ def _summaries_payload(source: str, args) -> List[dict]:
 
 
 def _spec_args(args) -> Dict[str, float]:
-    overrides = dict(kv.split("=", 1) for kv in (args.arg or []))
-    try:
-        return {k: float(v) for k, v in overrides.items()}
-    except ValueError:
-        raise CLIError("--arg values must be numbers") from None
+    """The ``--arg NAME=VALUE`` scalar overrides, parsed."""
+    overrides: Dict[str, float] = {}
+    for kv in args.arg or []:
+        name, sep, value = kv.partition("=")
+        if not sep or not name:
+            raise CLIError(f"--arg expects NAME=VALUE, got {kv!r}")
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise CLIError(f"--arg {name}: {value!r} is not a "
+                           "number") from None
+    return overrides
 
 
 def _kernel_spec(args) -> dict:
@@ -295,8 +288,6 @@ def _kernel_spec(args) -> dict:
     :mod:`repro.serve.api`, so ``--json`` output is byte-identical to
     the served response)."""
     spec = {"kernel": args.kernel, "device": args.device,
-            "static_trace": args.static_trace,
-            "interp": getattr(args, "interp", "auto"),
             "args": _spec_args(args)}
     if getattr(args, "workload", None):
         if args.source:
@@ -493,19 +484,18 @@ def cmd_predict_graph(args) -> int:
             tag = "  [pipes]" if p.has_pipes else ""
             print(f"{p.qualified_name:<20} {chain}{tag}")
         return 0
-    if args.json:
-        from repro.serve import api as serve_api
-        spec = {"program": args.program,
-                "realization": args.realization,
-                "depth": args.depth, "device": args.device,
-                "wg": args.wg}
-        try:
-            payload = serve_api.predict_graph_payload(
-                spec, cache=_open_cache(args))
-        except serve_api.ApiError as exc:
-            raise _cli_error(exc) from None
-        print(serve_api.canonical_json(payload))
-        return 0
+    from repro.serve import api as serve_api
+    spec = {"program": args.program, "realization": args.realization,
+            "depth": args.depth, "device": args.device, "wg": args.wg}
+    try:
+        serve_api.normalize_graph_spec(spec)
+        if args.json:
+            print(serve_api.canonical_json(
+                serve_api.predict_graph_payload(
+                    spec, cache=_open_cache(args))))
+            return 0
+    except serve_api.ApiError as exc:
+        raise _cli_error(exc) from None
     try:
         program = get_program(args.program)
     except KeyError as exc:
@@ -572,9 +562,7 @@ def cmd_suite(args) -> int:
     if args.json:
         from repro.serve import api as serve_api
         spec = {"suite": args.suite, "limit": args.limit,
-                "designs": args.designs, "device": args.device,
-                "static_trace": args.static_trace,
-                "interp": args.interp}
+                "designs": args.designs, "device": args.device}
         try:
             payload = serve_api.suite_payload(spec,
                                               cache=_open_cache(args))
@@ -591,8 +579,6 @@ def cmd_suite(args) -> int:
         return 2
     result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
                        designs_per_kernel=args.designs,
-                       static_trace=args.static_trace,
-                       interp=args.interp,
                        collect_features=bool(args.export_features))
     if args.export_features:
         from repro.surrogate import export_features
@@ -833,24 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="disable the persistent cache for this run")
 
-    def add_static_trace_arg(p):
-        p.add_argument("--static-trace", default="auto",
-                       choices=["auto", "always", "never"],
-                       help="trace producer: synthesize analytically "
-                            "when the access summary proves the kernel "
-                            "STATIC (auto, default), require synthesis "
-                            "(always), or always interpret (never)")
-
-    def add_interp_arg(p):
-        p.add_argument("--interp", default="auto",
-                       choices=["auto", "vectorized", "scalar"],
-                       help="dynamic trace producer when synthesis is "
-                            "off or unavailable: lane-vectorized "
-                            "work-group execution with scalar fallback "
-                            "(auto, default), require vectorization "
-                            "(vectorized), or per-work-item "
-                            "interpretation (scalar)")
-
     def add_kernel_args(p):
         p.add_argument("source", nargs="?",
                        help="OpenCL .cl source file (or use --workload)")
@@ -870,8 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["virtex7", "ku060"])
         p.add_argument("--arg", action="append", metavar="NAME=VALUE",
                        help="override a scalar kernel argument")
-        add_static_trace_arg(p)
-        add_interp_arg(p)
         add_cache_args(p)
 
     def add_json_arg(p):
@@ -991,8 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "feature vector + cycles as NDJSON training "
                         "data (see docs/SURROGATE.md)")
     add_json_arg(p)
-    add_static_trace_arg(p)
-    add_interp_arg(p)
     add_cache_args(p)
     p.set_defaults(func=cmd_suite)
 

@@ -83,13 +83,11 @@ class SuiteResult:
 
 def _evaluate_workload(workload: Workload, device, cache,
                        designs_per_kernel: int,
-                       static_trace: str = "auto",
-                       interp: str = "auto",
+                       engine: Optional[str] = None,
                        collect_features: bool = False
                        ) -> List[SuitePrediction]:
     """Analyse one workload and predict its sampled design points."""
-    analyzer = make_analyzer(workload, device, cache=cache,
-                             static_trace=static_trace, interp=interp)
+    analyzer = make_analyzer(workload, device, cache=cache, engine=engine)
     space = DesignSpace.default_for(workload.global_size)
     designs = sample_designs(workload, device, space,
                              designs_per_kernel, analyzer)
@@ -122,11 +120,11 @@ def _run_suite_shard(indices: List[int]
                      ) -> Tuple[List[Tuple[int, List[SuitePrediction]]],
                                 StoreStats]:
     (workloads, device, cache, designs_per_kernel,
-     static_trace, interp, collect_features) = _SUITE_STATE
+     engine, collect_features) = _SUITE_STATE
     before = cache.stats.copy() if cache is not None else StoreStats()
     out = [(i, _evaluate_workload(workloads[i], device, cache,
-                                  designs_per_kernel, static_trace,
-                                  interp, collect_features))
+                                  designs_per_kernel, engine,
+                                  collect_features))
            for i in indices]
     after = cache.stats.copy() if cache is not None else StoreStats()
     return out, after - before
@@ -135,8 +133,7 @@ def _run_suite_shard(indices: List[int]
 def run_suite(workloads: Sequence[Workload], device,
               jobs=None, cache=None,
               designs_per_kernel: int = 8,
-              static_trace: str = "auto",
-              interp: str = "auto",
+              engine: Optional[str] = None,
               collect_features: bool = False) -> SuiteResult:
     """Predict *designs_per_kernel* sampled design points for every
     workload in *workloads* on *device*.
@@ -147,6 +144,10 @@ def run_suite(workloads: Sequence[Workload], device,
     store cooperatively and warm runs are embarrassingly fast.  Results
     are returned in catalog order and are identical for any *jobs*
     value and any cache state.
+
+    *engine* forces one trace engine for every analysis (see
+    :func:`~repro.analysis.analyze_kernel`); the default picks per
+    kernel.
 
     *collect_features* attaches the architecture-independent surrogate
     feature vector to every prediction (see :mod:`repro.surrogate`) —
@@ -167,7 +168,7 @@ def run_suite(workloads: Sequence[Workload], device,
         shards = [list(range(s, len(workloads), n_jobs))
                   for s in range(n_jobs)]
         _SUITE_STATE = (workloads, device, cache, designs_per_kernel,
-                        static_trace, interp, collect_features)
+                        engine, collect_features)
         try:
             ctx = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(
@@ -191,8 +192,8 @@ def run_suite(workloads: Sequence[Workload], device,
         for workload in workloads:
             result.predictions.extend(
                 _evaluate_workload(workload, device, cache,
-                                   designs_per_kernel, static_trace,
-                                   interp, collect_features))
+                                   designs_per_kernel, engine,
+                                   collect_features))
         if before is not None:
             result.store_stats = cache.stats - before
 

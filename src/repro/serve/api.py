@@ -22,7 +22,7 @@ Request shapes (all fields beyond the required ones have defaults):
     {"source": "<OpenCL C>", "kernel": "saxpy", "global_size": 4096,
      "wg": 64, "pe": 1, "cu": 1, "vector": 1, "mode": "pipeline",
      "pipeline": true, "wg_pipeline": false, "device": "virtex7",
-     "static_trace": "auto", "args": {"alpha": 2.0}, "simulate": false}
+     "args": {"alpha": 2.0}, "simulate": false}
     {"workload": "rodinia/nw/kernel1", "wg": 16}     # catalog form
 
 ``predict-graph``::
@@ -32,8 +32,12 @@ Request shapes (all fields beyond the required ones have defaults):
 
 ``suite``::
 
-    {"suite": "rodinia", "limit": 4, "designs": 8,
-     "static_trace": "auto", "device": "virtex7"}
+    {"suite": "rodinia", "limit": 4, "designs": 8, "device": "virtex7"}
+
+Unknown fields are ignored.  In particular no field picks the trace
+engine: :func:`repro.analysis.analyze_kernel` chooses it from the
+kernel, and the choice never changes a payload byte beyond the
+reported ``traces.provenance``.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from repro.cache import (
 )
 
 #: design parameters shared by the predict spec and the CLI flags
-STATIC_TRACE_MODES = ("auto", "always", "never")
-INTERP_MODES = ("auto", "vectorized", "scalar")
 COMM_MODES = ("pipeline", "barrier")
 REALIZATION_MODES = ("dram", "pipe", "both")
 #: /predict answer tiers: the exact analytical model, or the learned
@@ -132,9 +134,6 @@ def _kernel_fields(spec) -> Dict[str, object]:
         "source": source, "workload": workload,
         "kernel": spec.get("kernel") or None,
         "device": _device_name(spec),
-        "static_trace": _choice(spec, "static_trace", "auto",
-                                STATIC_TRACE_MODES),
-        "interp": _choice(spec, "interp", "auto", INTERP_MODES),
     }
     if source is not None:
         if not spec.get("global_size"):
@@ -203,11 +202,14 @@ def normalize_graph_spec(spec: dict) -> dict:
                                REALIZATION_MODES),
         "depth": _as_int(spec, "depth", 16),
         "device": _device_name(spec),
-        "wg": (_as_int(spec, "wg", 0) or None)
-        if spec.get("wg") else None,
+        "wg": (None if spec.get("wg") is None
+               else _as_int(spec, "wg", None)),
     }
     if out["depth"] < 1:
         raise ApiError("'depth' must be >= 1")
+    if out["wg"] is not None and out["wg"] < 1:
+        raise ApiError("'wg' must be >= 1 (omit it for each stage's "
+                       "default)")
     return out
 
 
@@ -221,9 +223,6 @@ def normalize_suite_spec(spec: dict) -> dict:
         "limit": _as_int(spec, "limit", 0),
         "designs": _as_int(spec, "designs", 8),
         "device": _device_name(spec),
-        "static_trace": _choice(spec, "static_trace", "auto",
-                                STATIC_TRACE_MODES),
-        "interp": _choice(spec, "interp", "auto", INTERP_MODES),
     }
     if out["limit"] < 0:
         raise ApiError("'limit' must be >= 0")
@@ -436,8 +435,7 @@ def predict_payload(spec: dict, cache=None,
                                     spec["args"])
     info = analyze_kernel(fn, buffers, scalars,
                           NDRange(global_size, spec["wg"]), device,
-                          cache=cache, static_trace=spec["static_trace"],
-                          interp=spec["interp"])
+                          cache=cache)
     reason = check_feasibility(info, design, device)
     if reason is not None:
         payload["feasible"] = False
@@ -546,7 +544,6 @@ def instant_predict_payload(spec: dict, cache=None,
 
     info_slot = ("info", spec["workload"] or function_fingerprint(fn),
                  device.name, global_size, spec["wg"],
-                 spec["static_trace"], spec["interp"],
                  tuple(sorted(spec["args"].items())))
     info = memo.get(info_slot)
     if info is None:
@@ -554,9 +551,7 @@ def instant_predict_payload(spec: dict, cache=None,
                                         spec["args"])
         info = analyze_kernel(fn, buffers, scalars,
                               NDRange(global_size, spec["wg"]), device,
-                              cache=cache,
-                              static_trace=spec["static_trace"],
-                              interp=spec["interp"])
+                              cache=cache)
         memo[info_slot] = info
 
     reason = check_feasibility(info, design, device)
@@ -603,9 +598,7 @@ def make_spec_analyzer(spec: dict, fn, workload, device, cache=None
                                                 spec["args"])
                 memo[wg] = analyze_kernel(
                     fn, buffers, scalars, NDRange(global_size, wg),
-                    device, cache=cache,
-                    static_trace=spec["static_trace"],
-                    interp=spec["interp"])
+                    device, cache=cache)
             except Exception:
                 memo[wg] = None
         return memo[wg]
@@ -856,9 +849,7 @@ def suite_shard_rows(spec: dict, cache=None,
     out: List[Tuple[int, List[dict]]] = []
     for i in indices:
         preds = _evaluate_workload(catalog[i], device, cache,
-                                   spec["designs"],
-                                   spec["static_trace"],
-                                   spec["interp"])
+                                   spec["designs"])
         out.append((i, [{"workload": p.workload, "design": p.design,
                          "cycles": p.cycles,
                          "trace_source": p.trace_source}
@@ -916,7 +907,6 @@ def request_key(endpoint: str, spec: dict,
             device_fingerprint(device_by_name(spec["device"])),
             _spec_global_size(spec, workload),
             spec_design(spec).signature(),
-            spec["static_trace"], spec["interp"],
             sorted(spec["args"].items()),
             spec["simulate"], spec["tier"],
             spec["workload"] or "")
@@ -928,7 +918,6 @@ def request_key(endpoint: str, spec: dict,
             "serve-explore", function_fingerprint(fn),
             device_fingerprint(device_by_name(spec["device"])),
             _spec_global_size(spec, workload), spec["top"],
-            spec["static_trace"], spec["interp"],
             sorted(spec["args"].items()),
             spec["prefilter"], spec["top_k"],
             spec["workload"] or "")
@@ -945,7 +934,7 @@ def request_key(endpoint: str, spec: dict,
         from repro.devices import device_by_name
         return digest(
             "serve-suite", spec["suite"], spec["limit"],
-            spec["designs"], spec["static_trace"], spec["interp"],
+            spec["designs"],
             device_fingerprint(device_by_name(spec["device"])))
     raise ApiError(f"unknown endpoint {endpoint!r}")
 

@@ -65,6 +65,25 @@ class TestPredict:
                    "--wg", "64", "--arg", "a=3.5", "--arg", "n=256"])
         assert rc == 0
 
+    @pytest.mark.parametrize("bad", ["alpha", "=3", "a=x"])
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--workload", "rodinia/nw/kernel1"],
+        ["explore", "SAXPY", "--global-size", "256"],
+    ], ids=["predict-workload", "explore-source"])
+    def test_malformed_arg_is_a_usage_error(self, saxpy_file, capsys,
+                                            argv, bad):
+        argv = [saxpy_file if a == "SAXPY" else a for a in argv]
+        rc = main(argv + ["--no-cache", "--arg", bad])
+        assert rc == 2
+        assert "--arg" in capsys.readouterr().err
+
+    def test_graph_negative_wg_is_a_usage_error(self, capsys):
+        for extra in ([], ["--json"]):
+            rc = main(["predict-graph", "srad", "--wg", "-4",
+                       "--no-cache"] + extra)
+            assert rc == 2
+            assert "--wg must be >= 1" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_workloads_listing(self, capsys):
@@ -276,21 +295,12 @@ class TestStaticTraceFlag:
         assert "traces   : synthesized (summary: static)" \
             in capsys.readouterr().out
 
-    def test_predict_never_interprets(self, saxpy_file, capsys):
-        rc = main(["predict", saxpy_file, "--global-size", "256",
-                   "--static-trace", "never"])
-        assert rc == 0
-        assert "synthesized" not in capsys.readouterr().out
-
-    def test_predict_always_fails_on_irregular(self, tmp_path, capsys):
-        path = tmp_path / "gather.cl"
-        path.write_text("""
-        __kernel void gather(__global int *idx, __global float *out) {
-            out[get_global_id(0)] = idx[idx[get_global_id(0)]];
-        }""")
-        with pytest.raises(Exception):
-            main(["predict", str(path), "--global-size", "64",
-                  "--static-trace", "always"])
+    @pytest.mark.parametrize("flag", ["--static-trace", "--interp"])
+    def test_engine_flags_are_gone(self, saxpy_file, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["predict", saxpy_file, "--global-size", "256",
+                 flag, "auto"])
 
 
 class TestVersion:

@@ -167,6 +167,6 @@ class TestModelEquivalence:
             ndrange = w.ndrange(local_size=d.work_group_size)
             a, b = (model.predict(
                 analyze_kernel(fn, w.make_buffers(), dict(w.scalars),
-                               ndrange, KU060, static_trace=mode),
-                d).cycles for mode in ("never", "always"))
+                               ndrange, KU060, engine=engine),
+                d).cycles for engine in ("vectorized", "synth"))
             assert a == b

@@ -134,6 +134,13 @@ class TestBasics:
         assert payload["feasible"] is False
         assert "work-group size" in payload["reason"]
 
+    def test_graph_negative_wg_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _post(server.url, "/predict-graph",
+                  {"program": "srad", "wg": -4})
+        assert exc.value.code == 400
+        assert b"'wg' must be >= 1" in exc.value.read()
+
     def test_metrics_shape(self, server):
         _post(server.url, "/predict", PREDICT_SPEC)
         m = _get_json(server.url, "/metrics")
@@ -143,6 +150,40 @@ class TestBasics:
         assert "p50_ms" in m["endpoints"]["predict"]["latency"]
         assert 0.0 <= m["coalescing"]["rate"] <= 1.0
         assert m["cache"]["tiers"]["hot"]["capacity"] == 2048
+
+
+# A barrier under lane-divergent control flow: outside the vectorized
+# interpreter's subset, so analysis falls back to the scalar engine.
+DIVERGENT_BARRIER = """
+__kernel void k(__global int* a) {
+    int tid = get_local_id(0);
+    if (a[tid] > 0) {
+        barrier(CLK_LOCAL_MEM_FENCE);
+        a[tid] = 1;
+    } else {
+        barrier(CLK_LOCAL_MEM_FENCE);
+        a[tid] = 2;
+    }
+}
+"""
+
+
+class TestTraceEngineIsNotASpecField:
+    def test_legacy_engine_fields_are_ignored(self):
+        from repro.serve.api import encode_body, predict_payload, \
+            request_key
+        legacy = dict(PREDICT_SPEC, static_trace="never", interp="scalar")
+        assert (request_key("predict", legacy)
+                == request_key("predict", PREDICT_SPEC))
+        assert (encode_body(predict_payload(legacy))
+                == encode_body(predict_payload(PREDICT_SPEC)))
+
+    def test_scalar_fallback_reports_interpreted_provenance(self):
+        from repro.serve.api import predict_payload
+        payload = predict_payload({"source": DIVERGENT_BARRIER,
+                                   "global_size": 64, "wg": 64})
+        assert payload["feasible"] is True
+        assert payload["traces"]["provenance"] == "interpreted"
 
 
 class TestCoalescing:

@@ -111,13 +111,9 @@ class TestFeatureDeterminism:
         kernel produce bit-identical vectors."""
         design = Design(work_group_size=16)
         vectors = {}
-        for label, kwargs in (
-                ("synth", dict(static_trace="always")),
-                ("vectorized", dict(static_trace="never",
-                                    interp="vectorized")),
-                ("scalar", dict(static_trace="never", interp="scalar"))):
-            info = _analyze_workload(STATIC_WORKLOAD, **kwargs)
-            vectors[label] = feature_vector(info, design)
+        for engine in ("synth", "vectorized", "scalar"):
+            info = _analyze_workload(STATIC_WORKLOAD, engine=engine)
+            vectors[engine] = feature_vector(info, design)
         assert info.trace_source == "scalar"
         assert np.array_equal(vectors["synth"], vectors["vectorized"])
         assert np.array_equal(vectors["synth"], vectors["scalar"])

@@ -209,36 +209,36 @@ class TestAnalyzeKernelWiring:
                               VIRTEX7, **kw)
 
     def test_auto_uses_synthesis_for_static(self):
-        info = self.analyze(self.SRC, static_trace="auto", verify=True)
-        assert info.static_trace_used
+        info = self.analyze(self.SRC)
+        assert info.trace_source == "synth"
         assert info.summary_verdict == "static"
 
     def test_auto_falls_back_for_irregular(self):
-        info = self.analyze(self.IRR, static_trace="auto")
-        assert not info.static_trace_used
+        info = self.analyze(self.IRR)
+        assert info.trace_source == "vectorized"
         assert info.summary_verdict == "irregular"
 
     def test_never_interprets(self):
-        info = self.analyze(self.SRC, static_trace="never")
-        assert not info.static_trace_used
+        info = self.analyze(self.SRC, engine="scalar")
+        assert info.trace_source == "scalar"
         assert info.summary_verdict is None
 
     def test_always_raises_on_irregular(self):
         with pytest.raises(StaticTraceUnavailable):
-            self.analyze(self.IRR, static_trace="always")
+            self.analyze(self.IRR, engine="synth")
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self.analyze(self.SRC, static_trace="sometimes")
+        with pytest.raises(ValueError, match="engine must be"):
+            self.analyze(self.SRC, engine="bogus")
 
     def test_static_and_interp_fingerprints_differ(self):
-        a = self.analyze(self.SRC, static_trace="never")
-        b = self.analyze(self.SRC, static_trace="auto")
+        a = self.analyze(self.SRC, engine="scalar")
+        b = self.analyze(self.SRC)
         assert a.fingerprint != b.fingerprint
 
     def test_identical_analysis_products(self):
-        a = self.analyze(self.SRC, static_trace="never")
-        b = self.analyze(self.SRC, static_trace="auto")
+        a = self.analyze(self.SRC, engine="scalar")
+        b = self.analyze(self.SRC)
         assert a.block_weights == b.block_weights
         assert a.barriers_per_wi == b.barriers_per_wi
         assert a.traces.sites.keys() == b.traces.sites.keys()
@@ -248,11 +248,11 @@ class TestAnalyzeKernelWiring:
     def test_cache_roundtrip_preserves_static_entry(self, tmp_path):
         from repro.cache import open_cache
         cache = open_cache(str(tmp_path / "c"))
-        first = self.analyze(self.SRC, static_trace="auto", cache=cache)
-        assert first.static_trace_used
-        again = self.analyze(self.SRC, static_trace="auto", cache=cache)
+        first = self.analyze(self.SRC, cache=cache)
+        assert first.trace_source == "synth"
+        again = self.analyze(self.SRC, cache=cache)
         assert again.fingerprint == first.fingerprint
-        assert again.static_trace_used
+        assert again.trace_source == "synth"
         # cached entry materialises the same traces
         assert list(again.traces.global_traces[0]) \
             == list(first.traces.global_traces[0])

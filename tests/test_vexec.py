@@ -168,20 +168,19 @@ class TestDivergence:
         def buffers():
             return {"a": Buffer("a", np.array([1, 0, 1, 0], np.int32))}
 
-        info = analyze_kernel(fn, buffers(), {}, NDRange(4, 4), VIRTEX7,
-                              static_trace="never", interp="auto")
+        info = analyze_kernel(fn, buffers(), {}, NDRange(4, 4), VIRTEX7)
         assert info.trace_source == "scalar"
         with pytest.raises(VectorizationError):
             analyze_kernel(fn, buffers(), {}, NDRange(4, 4), VIRTEX7,
-                           static_trace="never", interp="vectorized")
+                           engine="vectorized")
 
     def test_interp_mode_is_validated(self):
         from repro.analysis import analyze_kernel
         from repro.devices import VIRTEX7
 
-        with pytest.raises(ValueError, match="interp must be one of"):
+        with pytest.raises(ValueError, match="engine must be"):
             analyze_kernel(None, {}, {}, NDRange(4, 4), VIRTEX7,
-                           interp="never")
+                           engine="never")
 
 
 class TestStatePool:
@@ -245,10 +244,8 @@ class TestProvenanceSurface:
     def test_predict_payload_reports_vectorized_provenance(self):
         from repro.serve import api
 
-        spec = {"workload": "rodinia/bfs/bfs_1", "interp": "vectorized"}
-        payload = api.predict_payload(api.normalize_predict_spec(spec))
+        spec = {"workload": "rodinia/bfs/bfs_1"}
+        payload = api.predict_payload(spec)
         assert payload["traces"]["provenance"] == "vectorized"
-        scalar = api.predict_payload(api.normalize_predict_spec(
-            {"workload": "rodinia/bfs/bfs_1", "interp": "scalar"}))
-        assert scalar["traces"]["provenance"] == "interpreted"
-        assert scalar["prediction"] == payload["prediction"]
+        # A spec cannot pick the engine: the retired field is ignored.
+        assert api.predict_payload(dict(spec, interp="scalar")) == payload

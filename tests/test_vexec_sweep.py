@@ -79,8 +79,8 @@ def test_vectorized_launch_matches_interpreter(workload):
     "workload", [w for w in ALL if w.qualified_name in DYNAMIC],
     ids=sorted(DYNAMIC))
 def test_dynamic_kernel_predictions_are_engine_independent(workload):
-    """End-to-end: analyses through interp='vectorized' and
-    interp='scalar' yield identical FlexCL predictions, and the
+    """End-to-end: analyses through engine='vectorized' and
+    engine='scalar' yield identical FlexCL predictions, and the
     vectorized analysis is attributed to the vectorized engine."""
     from repro.analysis import analyze_kernel
     from repro.devices import VIRTEX7
@@ -92,7 +92,7 @@ def test_dynamic_kernel_predictions_are_engine_independent(workload):
         infos[mode] = analyze_kernel(
             workload.function(), workload.make_buffers(),
             dict(workload.scalars), workload.ndrange(), VIRTEX7,
-            interp=mode)
+            engine=mode)
     v, s = infos["vectorized"], infos["scalar"]
     assert v.trace_source == "vectorized"
     assert s.trace_source == "scalar"
