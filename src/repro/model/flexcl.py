@@ -28,7 +28,7 @@ from repro.model.memory import (
     memory_model,
     pattern_table_for,
 )
-from repro.model.pe import PEModelResult, pe_model
+from repro.model.pe import PEModelResult, PESchedule, pe_model
 from repro.scheduling import ResourceBudget
 
 
@@ -133,7 +133,9 @@ class FlexCL:
     def _pe_model(self, info: KernelInfo, design: Design,
                   budget: ResourceBudget) -> PEModelResult:
         """PE schedule, memoized on what it reads: the analysed kernel,
-        the per-PE resource budget, pipelining, and work-group size."""
+        the per-PE resource budget, pipelining, and work-group size.  A
+        miss reuses the kernel's :class:`PESchedule`, so each new budget
+        only redoes ResMII and the II walk."""
         pipelined = design.work_item_pipeline
         wg = design.work_group_size
         if self._cache is None:
@@ -141,7 +143,8 @@ class FlexCL:
         return self._cache.get(
             "pe", info, (wg, budget, pipelined),
             lambda: pe_model(info, budget, pipelined=pipelined,
-                             wg_size=wg))
+                             wg_size=wg,
+                             schedule=self._cache.state(info, PESchedule)))
 
     def _memory_model(self, info: KernelInfo,
                       design: Design) -> MemoryModelResult:

@@ -17,6 +17,12 @@ report its cache behaviour (surfaced in
 Entries keep a strong reference to their ``KernelInfo`` and validate it
 by identity on every lookup, so a recycled ``id()`` can never alias a
 dead kernel analysis to a live one.
+
+Beside its rows, each kernel's entry holds working state that a
+sub-model reuses across its misses (:meth:`SubModelCache.state`, e.g.
+the PE schedule's :class:`~repro.model.pe.PESchedule`).  It lives
+exactly as long as the rows, is never persisted, and is not counted in
+the stats or the length.
 """
 
 from __future__ import annotations
@@ -119,16 +125,30 @@ class SubModelCache:
         #: runs *outside* the lock (a duplicate compute is harmless,
         #: results are pure), so throughput is unaffected.
         self._lock = threading.Lock()
-        #: id(info) -> (info, {key: result}); the stored info reference
-        #: pins the id so identity validation is exact.
-        self._tables: Dict[int, Tuple[object, Dict[tuple, object]]] = {}
+        #: id(info) -> (info, {key: result}, {factory: state}); the
+        #: stored info reference pins the id so identity validation is
+        #: exact.
+        self._tables: Dict[int, Tuple[object, Dict[tuple, object],
+                                      Dict[Callable, object]]] = {}
 
-    def _table(self, info) -> Dict[tuple, object]:
+    def _entry(self, info) -> tuple:
         entry = self._tables.get(id(info))
         if entry is None or entry[0] is not info:
-            entry = (info, {})
+            entry = (info, {}, {})
             self._tables[id(info)] = entry
-        return entry[1]
+        return entry
+
+    def _table(self, info) -> Dict[tuple, object]:
+        return self._entry(info)[1]
+
+    def state(self, info, factory: Callable[[object], object]):
+        """*info*'s working state built by ``factory(info)``, created on
+        first use and kept alongside *info*'s rows."""
+        with self._lock:
+            states = self._entry(info)[2]
+            if factory not in states:
+                states[factory] = factory(info)
+            return states[factory]
 
     def get(self, sub_model: str, info, key: tuple,
             compute: Callable[[], object]):
@@ -162,10 +182,11 @@ class SubModelCache:
         return result
 
     def clear(self) -> None:
-        """Drop every memoized result (stats are kept)."""
+        """Drop every memoized result and working state (stats are
+        kept)."""
         with self._lock:
             self._tables.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(t) for _, t in self._tables.values())
+            return sum(len(rows) for _, rows, _ in self._tables.values())

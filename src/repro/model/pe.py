@@ -12,22 +12,33 @@ model:
 3. computes MII = max(RecMII, ResMII) (Eqs. 2–4) and refines
    II_comp^wi with Swing Modulo Scheduling;
 4. applies Eq. 1:  L_comp^PE = II · (N_wi^wg − 1) + D.
+
+Designs of one analysed kernel differ only in their per-PE DSP budget,
+so :class:`PESchedule` computes steps 1–3's budget-independent parts
+once per kernel and every budget reuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+import sys
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.kernel_info import KernelInfo
 from repro.analysis.loops import LoopInfo, LoopNest
 from repro.ir.function import Function
 from repro.scheduling import (
+    ModuloScheduleMemo,
     ResourceBudget,
-    compute_mii,
+    compute_rec_mii,
+    compute_res_mii,
     list_schedule,
     swing_modulo_schedule,
 )
+
+#: A DSP budget no block reaches: the list scheduler never waits on DSPs.
+_UNBOUNDED_DSP = sys.maxsize
 
 
 @dataclass
@@ -42,11 +53,66 @@ class PEModelResult:
     res_mii: float = 1.0
 
 
-def schedule_blocks(info: KernelInfo,
-                    budget: ResourceBudget) -> Dict[str, float]:
-    """List-schedule every basic block under *budget*."""
-    return {name: list_schedule(dfg, budget).latency
-            for name, dfg in info.block_dfgs.items()}
+class PESchedule:
+    """One analysed kernel's PE-schedule work that every resource budget
+    shares.
+
+    - Block latencies: each block is list-scheduled once with an
+      unbounded DSP budget.  A budget at or above the block's
+      :attr:`~repro.scheduling.ScheduleResult.dsp_peak` yields exactly
+      that schedule; below it the block is rescheduled at the budget.
+    - The pipeline depth of those latencies, RecMII, and the function
+      graph's :class:`~repro.scheduling.ModuloScheduleMemo` (critical
+      path and per-II placement attempts).
+
+    Per budget, only ResMII (Eqs. 3–4) and the II walk up from
+    ``ceil(MII)`` remain, and the walk mostly hits memoized attempts.
+    Entries are built without a lock: threads missing together may
+    build one twice, and both copies are equal.
+    """
+
+    def __init__(self, info: KernelInfo) -> None:
+        self.info = info
+        #: port counts -> (latencies, per-block dsp_peak, depth)
+        self._blocks: Dict[tuple, tuple] = {}
+
+    def blocks(self, budget: ResourceBudget
+               ) -> Tuple[Dict[str, float], float]:
+        """List-scheduled block latencies under *budget* and the
+        pipeline depth D_comp^PE they give."""
+        entry = self._blocks.get(budget.ports)
+        if entry is None:
+            unbounded = replace(budget, dsp_budget=_UNBOUNDED_DSP)
+            schedules = {name: list_schedule(dfg, unbounded)
+                         for name, dfg in self.info.block_dfgs.items()}
+            latencies = {name: s.latency for name, s in schedules.items()}
+            peaks = {name: s.dsp_peak for name, s in schedules.items()}
+            entry = (latencies, peaks, self._depth(latencies))
+            self._blocks[budget.ports] = entry
+        latencies, peaks, depth = entry
+        dsp = budget.dsp_budget
+        if all(peak <= dsp for peak in peaks.values()):
+            return dict(latencies), depth
+        latencies = {
+            name: (latency if peaks[name] <= dsp else
+                   list_schedule(self.info.block_dfgs[name],
+                                 budget).latency)
+            for name, latency in latencies.items()}
+        return latencies, self._depth(latencies)
+
+    def _depth(self, latencies: Dict[str, float]) -> float:
+        info = self.info
+        return max(critical_path_depth(info.fn, latencies,
+                                       info.loop_nest), 1.0)
+
+    @cached_property
+    def rec_mii(self) -> float:
+        return compute_rec_mii(self.info.function_dfg,
+                               self.info.traces.recurrences)
+
+    @cached_property
+    def sms(self) -> ModuloScheduleMemo:
+        return ModuloScheduleMemo(self.info.function_dfg)
 
 
 def critical_path_depth(fn: Function, block_latencies: Dict[str, float],
@@ -136,16 +202,26 @@ def _loop_exits(fn: Function, loop: LoopInfo) -> list:
 
 def pe_model(info: KernelInfo, budget: ResourceBudget,
              pipelined: bool = True,
-             wg_size: Optional[int] = None) -> PEModelResult:
-    """Run the full PE model for one design's budget."""
-    block_latencies = schedule_blocks(info, budget)
-    depth = critical_path_depth(info.fn, block_latencies, info.loop_nest)
-    depth = max(depth, 1.0)
+             wg_size: Optional[int] = None,
+             schedule: Optional[PESchedule] = None) -> PEModelResult:
+    """Run the full PE model for one design's budget.
+
+    *schedule* is *info*'s :class:`PESchedule` to reuse across budgets;
+    without one, a fresh one serves this call only.
+    """
+    if schedule is None:
+        schedule = PESchedule(info)
+    block_latencies, depth = schedule.blocks(budget)
 
     if pipelined:
-        mii = compute_mii(info.function_dfg, budget, info.traces,
-                          info.dsp_cost_per_wi)
-        sms = swing_modulo_schedule(info.function_dfg, budget, mii.mii)
+        mii = compute_res_mii(
+            budget,
+            local_reads_per_wi=info.traces.local_reads_per_wi,
+            local_writes_per_wi=info.traces.local_writes_per_wi,
+            dsp_cost_per_wi=info.dsp_cost_per_wi)
+        mii.rec_mii = schedule.rec_mii
+        sms = swing_modulo_schedule(info.function_dfg, budget, mii.mii,
+                                    memo=schedule.sms)
         ii = sms.ii
         rec_mii, res_mii = mii.rec_mii, mii.res_mii
         # Work-item pipelining cannot initiate through a barrier: every

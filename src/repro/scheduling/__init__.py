@@ -6,16 +6,22 @@
   ``MII = max(RecMII, ResMII)`` (Eqs. 2–4).
 - :func:`swing_modulo_schedule` — Swing Modulo Scheduling, refining the
   II above MII until every resource constraint is met and producing the
-  pipeline depth.
+  pipeline depth; a :class:`ModuloScheduleMemo` shares its per-II
+  placement attempts across resource budgets.
 """
 
 from repro.scheduling.resources import ResourceBudget
 from repro.scheduling.list_scheduler import ScheduleResult, list_schedule
 from repro.scheduling.mii import MIIBreakdown, compute_mii, compute_rec_mii, compute_res_mii
-from repro.scheduling.sms import SMSResult, swing_modulo_schedule
+from repro.scheduling.sms import (
+    ModuloScheduleMemo,
+    SMSResult,
+    swing_modulo_schedule,
+)
 
 __all__ = [
     "MIIBreakdown",
+    "ModuloScheduleMemo",
     "ResourceBudget",
     "SMSResult",
     "ScheduleResult",

@@ -22,6 +22,10 @@ class ScheduleResult:
 
     latency: float                       # cycles from start to last finish
     start_times: Dict[int, float] = field(default_factory=dict)
+    #: largest ``dsp_used + cost`` of a DSP op issued while another DSP
+    #: op was in flight: the DSP budget is only ever tested there, so
+    #: any budget >= dsp_peak yields exactly this schedule.
+    dsp_peak: int = 0
 
     def start_of(self, node: DFGNode) -> float:
         return self.start_times.get(node.index, 0.0)
@@ -73,6 +77,7 @@ def list_schedule(graph: DataFlowGraph,
     # in-flight DSP usage as a list of (release_cycle, cost)
     dsp_inflight: List = []
     dsp_used = 0
+    dsp_peak = 0
     scheduled = 0
     cycle_guard = 0
 
@@ -107,6 +112,8 @@ def list_schedule(graph: DataFlowGraph,
             port_used[(t, node.op_class)] = \
                 port_used.get((t, node.op_class), 0) + 1
         if cost > 0:
+            if dsp_inflight:
+                dsp_peak = max(dsp_peak, dsp_used + cost)
             heapq.heappush(dsp_inflight, (t + max(node.latency, 1.0), cost))
             dsp_used += cost
         scheduled += 1
@@ -125,4 +132,4 @@ def list_schedule(graph: DataFlowGraph,
             f"list scheduler left {len(nodes) - scheduled} ops unscheduled "
             f"(cyclic distance-0 dependence?)")
     return ScheduleResult(latency=max(finish, default=0.0),
-                          start_times=start)
+                          start_times=start, dsp_peak=dsp_peak)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.dfg import DataFlowGraph
 from repro.analysis.memtrace import Recurrence, TraceAnalysis
@@ -54,14 +54,17 @@ def compute_res_mii(budget: ResourceBudget,
 
 def compute_rec_mii(graph: DataFlowGraph,
                     recurrences: Sequence[Recurrence],
-                    site_to_node: dict) -> float:
+                    site_to_node: Optional[dict] = None) -> float:
     """RecMII = max over dependence cycles of ceil(latency / distance).
 
     Each profiled recurrence (store by work-item *i-d*, load by
     work-item *i*) closes a cycle: the forward path runs from the load
     through the data-flow graph to the store; the back edge carries
-    distance *d*.
+    distance *d*.  *site_to_node* defaults to the graph's own site
+    index.
     """
+    if site_to_node is None:
+        site_to_node = _site_index(graph)
     rec_mii = 1.0
     for rec in recurrences:
         load_node = site_to_node.get(rec.load_site)
@@ -85,14 +88,12 @@ def compute_mii(graph: DataFlowGraph, budget: ResourceBudget,
                 traces: TraceAnalysis,
                 dsp_cost_per_wi: float) -> MIIBreakdown:
     """MII = max(RecMII, ResMII) (Eq. 2)."""
-    site_to_node = _site_index(graph)
     breakdown = compute_res_mii(
         budget,
         local_reads_per_wi=traces.local_reads_per_wi,
         local_writes_per_wi=traces.local_writes_per_wi,
         dsp_cost_per_wi=dsp_cost_per_wi)
-    breakdown.rec_mii = compute_rec_mii(graph, traces.recurrences,
-                                        site_to_node)
+    breakdown.rec_mii = compute_rec_mii(graph, traces.recurrences)
     return breakdown
 
 

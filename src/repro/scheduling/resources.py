@@ -39,6 +39,14 @@ class ResourceBudget:
     def dsp_cost(self, cls: OpClass) -> int:
         return DSP_COST[cls]
 
+    @property
+    def ports(self) -> tuple:
+        """The port counts: everything the schedulers read besides
+        ``dsp_budget``, so schedules keyed on them are shared across
+        DSP budgets."""
+        return (self.local_read_ports, self.local_write_ports,
+                self.global_read_ports, self.global_write_ports)
+
     @classmethod
     def for_pe(cls, device, num_pe: int = 1,
                num_cu: int = 1) -> "ResourceBudget":

@@ -68,23 +68,49 @@ def _swing_order(graph: DataFlowGraph, asap, alap) -> List[int]:
     return indices
 
 
+class ModuloScheduleMemo:
+    """The DSP-budget-independent work of scheduling one graph, shared
+    by every budget that schedules it: the critical path, and each
+    placement attempt keyed on its II and the budget's port counts
+    (``_try_schedule`` reads nothing else of the budget)."""
+
+    def __init__(self, graph: DataFlowGraph) -> None:
+        self.graph = graph
+        self.critical = graph.critical_path()
+        self._tries: Dict[tuple, Optional[List[float]]] = {}
+
+    def try_schedule(self, budget: ResourceBudget,
+                     ii: float) -> Optional[List[float]]:
+        key = (ii,) + budget.ports
+        if key not in self._tries:
+            self._tries[key] = _try_schedule(self.graph, budget, ii)
+        return self._tries[key]
+
+
 def swing_modulo_schedule(graph: DataFlowGraph, budget: ResourceBudget,
                           mii: float,
-                          max_ii: Optional[float] = None) -> SMSResult:
+                          max_ii: Optional[float] = None,
+                          memo: Optional[ModuloScheduleMemo] = None
+                          ) -> SMSResult:
     """Find (II, depth) for the work-item pipeline.
 
     Tries II = MII, MII+1, ... until a placement satisfying the modulo
-    reservation table and all dependence constraints exists.
+    reservation table and all dependence constraints exists.  A shared
+    *memo* of *graph* reuses attempts made for earlier budgets.
     """
     nodes = graph.nodes
     if not nodes:
         return SMSResult(ii=max(mii, 1.0), depth=1.0)
-    critical = graph.critical_path()
+    if memo is None:
+        memo = ModuloScheduleMemo(graph)
+    elif memo.graph is not graph:
+        raise ValueError("memo belongs to a different graph")
+    critical = memo.critical
     if max_ii is None:
         max_ii = max(mii, critical) * _MAX_II_FACTOR + 8
     ii = max(float(math.ceil(mii)), 1.0)
     while ii <= max_ii:
-        placed = _try_schedule(graph, budget, ii)
+        placed = memo.try_schedule(budget, ii)
         if placed is not None:
             depth = max(placed[i] + nodes[i].latency
                         for i in range(len(nodes)))

@@ -1,5 +1,8 @@
 """Property-based tests for scheduling invariants."""
 
+import sys
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from repro.ir.types import INT
 from repro.ir.values import Constant, Register
 from repro.latency.optable import OpClass
 from repro.scheduling import (
+    ModuloScheduleMemo,
     ResourceBudget,
     compute_res_mii,
     list_schedule,
@@ -17,23 +21,34 @@ from repro.scheduling import (
 
 OP_CLASSES = [OpClass.INT_ALU, OpClass.LOCAL_READ, OpClass.LOCAL_WRITE,
               OpClass.FMUL]
+#: classes that hold DSP slices while in flight, with ports beside them
+DSP_CLASSES = [OpClass.INT_ALU, OpClass.LOCAL_READ, OpClass.FADD,
+               OpClass.FMUL, OpClass.INT_MUL, OpClass.FEXPENSIVE]
 
 
 @st.composite
-def random_dags(draw, max_nodes=14):
-    """A random DAG with edges pointing forward in index order."""
+def random_dags(draw, max_nodes=14, op_classes=OP_CLASSES,
+                back_edges=False):
+    """A random DAG with edges pointing forward in index order; with
+    *back_edges*, also loop-carried edges (distance >= 1) pointing
+    backward, as recurrences do."""
     n = draw(st.integers(1, max_nodes))
     graph = DataFlowGraph()
     nodes = []
     for i in range(n):
         latency = draw(st.floats(1.0, 8.0))
-        op_class = draw(st.sampled_from(OP_CLASSES))
+        op_class = draw(st.sampled_from(op_classes))
         inst = BinaryOp("add", Constant(INT, 0), Constant(INT, 0),
                         Register(INT))
         node = graph.add_node(inst, latency, op_class)
         if i > 0:
             for pred in draw(st.sets(st.integers(0, i - 1), max_size=3)):
                 graph.add_edge(nodes[pred], node)
+            if back_edges:
+                for succ in draw(st.sets(st.integers(0, i - 1),
+                                         max_size=1)):
+                    graph.add_edge(node, nodes[succ],
+                                   distance=draw(st.integers(1, 3)))
         nodes.append(node)
     return graph
 
@@ -78,6 +93,30 @@ class TestListScheduleProperties:
             assert usage[key] <= limit
 
 
+class TestDSPPeakProperties:
+    @given(random_dags(op_classes=DSP_CLASSES), st.data())
+    @settings(max_examples=80)
+    def test_budget_at_or_above_peak_gives_unbounded_schedule(self, graph,
+                                                              data):
+        """The DSP budget is only tested where dsp_peak is recorded, so
+        any budget >= dsp_peak reproduces the unbounded schedule."""
+        unbounded = list_schedule(graph,
+                                  replace(BUDGET, dsp_budget=sys.maxsize))
+        dsp = data.draw(st.integers(max(unbounded.dsp_peak, 1),
+                                    unbounded.dsp_peak + 40))
+        bounded = list_schedule(graph, replace(BUDGET, dsp_budget=dsp))
+        assert bounded.latency == unbounded.latency
+        assert bounded.start_times == unbounded.start_times
+
+    @given(random_dags(op_classes=DSP_CLASSES))
+    @settings(max_examples=40)
+    def test_peak_bounded_by_total_dsp_cost(self, graph):
+        result = list_schedule(graph,
+                               replace(BUDGET, dsp_budget=sys.maxsize))
+        total = sum(BUDGET.dsp_cost(n.op_class) for n in graph.nodes)
+        assert 0 <= result.dsp_peak <= total
+
+
 class TestSMSProperties:
     @given(random_dags())
     @settings(max_examples=40)
@@ -96,6 +135,23 @@ class TestSMSProperties:
         result = swing_modulo_schedule(graph, BUDGET, 1.0)
         if result.feasible:
             assert result.depth >= graph.critical_path() - 1e-6
+
+
+    @given(random_dags(back_edges=True),
+           st.lists(st.floats(0.5, 12.0), min_size=1, max_size=5),
+           st.one_of(st.none(), st.floats(0.5, 6.0)))
+    @settings(max_examples=60)
+    def test_shared_memo_changes_nothing(self, graph, miis, max_ii):
+        """A memo shared across calls (and port configurations) returns
+        what a fresh schedule does, infeasible fallbacks included."""
+        memo = ModuloScheduleMemo(graph)
+        budgets = [BUDGET, replace(BUDGET, local_read_ports=1)]
+        for mii in miis:
+            for budget in budgets:
+                shared = swing_modulo_schedule(graph, budget, mii, max_ii,
+                                               memo=memo)
+                assert shared == swing_modulo_schedule(graph, budget, mii,
+                                                       max_ii)
 
 
 class TestResMIIProperties:
