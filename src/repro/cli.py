@@ -99,34 +99,6 @@ def _jobs_arg(value: str):
     return jobs
 
 
-def _build_buffers(fn, global_size: int, overrides: Dict[str, float]):
-    """Synthesise buffers/scalars for a kernel's signature (shared
-    with the serve api so CLI and daemon build bit-identical inputs)."""
-    from repro.serve.api import build_buffers
-    return build_buffers(fn, global_size, overrides)
-
-
-def _frontend(args):
-    """Run the profile-independent front half once: read the source,
-    lex/parse/lower it, and resolve the device and scalar overrides."""
-    from repro.devices import device_by_name
-    from repro.frontend import compile_opencl
-
-    source = Path(args.source).read_text()
-    module = compile_opencl(source)
-    if args.kernel:
-        fn = module.get(args.kernel)
-    elif len(module.kernels) > 1:
-        names = ", ".join(k.name for k in module.kernels)
-        raise CLIError(
-            f"{args.source} defines {len(module.kernels)} kernels "
-            f"({names}); pick one with --kernel NAME")
-    else:
-        fn = module.kernels[0]
-    device = device_by_name(args.device)
-    return fn, device, _spec_args(args)
-
-
 def _open_cache(args):
     """The persistent cache the command should use (None = disabled)."""
     from repro.cache import open_cache
@@ -138,18 +110,6 @@ def _print_cache_line(cache) -> None:
     """One summary line of the persistent store's activity."""
     if cache is not None and cache.stats.lookups:
         print(cache.stats.summary())
-
-
-def _analyze_wg(fn, device, args, overrides, wg: int, cache=None):
-    """Run the profile-dependent half for one work-group size: fresh
-    synthetic buffers (profiling mutates them) + kernel analysis."""
-    from repro.analysis import analyze_kernel
-    from repro.interp import NDRange
-
-    buffers, scalars = _build_buffers(fn, args.global_size, overrides)
-    return analyze_kernel(fn, buffers, scalars,
-                          NDRange(args.global_size, wg), device,
-                          cache=cache)
 
 
 def _print_diagnostics(fn, source: str) -> None:
@@ -388,80 +348,62 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    """Run the `explore` subcommand: sweep the design space."""
+    """Run the `explore` subcommand: sweep the design space, then
+    render the result as text or, with ``--json``, as the serve api's
+    payload (byte-identical to the daemon's ``/explore`` response)."""
+    from repro.devices import device_by_name
     from repro.dse import DesignSpace, explore
     from repro.model import FlexCL
-
-    if (args.json or getattr(args, "workload", None)
-            or args.prefilter != "none"):
-        return _explore_via_api(args)
-    # The frontend (lex/parse/lower) runs once; per work-group size only
-    # the profile-dependent half of the analysis is re-run.
-    fn, device, overrides = _frontend(args)
-    cache = _open_cache(args)
-
-    def analyzer(wg):
-        try:
-            return _analyze_wg(fn, device, args, overrides, wg,
-                               cache=cache)
-        except Exception:
-            return None
-
-    model = FlexCL(device, cache=cache)
-    space = DesignSpace.default_for(args.global_size)
-    result = explore(space, analyzer,
-                     lambda info, d: model.predict(info, d).cycles,
-                     device, jobs=args.jobs,
-                     cache_stats=lambda: model.cache_stats,
-                     store_stats=(None if cache is None
-                                  else lambda: cache.stats.copy()))
-    feasible = result.ranked()
-    workers = f" on {result.jobs} workers" if result.jobs > 1 else ""
-    print(f"explored {len(result.evaluated)} designs "
-          f"({len(feasible)} feasible) in "
-          f"{result.elapsed_seconds:.1f}s{workers}")
-    if result.cache_stats is not None and result.cache_stats.lookups:
-        print(result.cache_stats.summary())
-    if result.store_stats is not None and result.store_stats.lookups:
-        print(result.store_stats.summary())
-    print(f"\ntop {args.top}:")
-    for entry in feasible[:args.top]:
-        print(f"  {entry.design!s:<46} {entry.cycles:>12,.0f} cycles")
-    _print_diagnostics(fn, args.source)
-    return 0
-
-
-def _explore_via_api(args) -> int:
-    """The serve-api explore path: ``--json`` (byte-identical to the
-    daemon's ``/explore`` response) and ``--workload`` sweeps."""
     from repro.serve import api as serve_api
 
     spec = _kernel_spec(args)
-    spec["top"] = args.top
-    spec["prefilter"] = args.prefilter
-    spec["top_k"] = args.top_k
+    spec.update(top=args.top, prefilter=args.prefilter, top_k=args.top_k)
     cache = _open_cache(args)
     try:
-        payload = serve_api.explore_payload(spec, cache=cache)
+        spec = serve_api.normalize_explore_spec(spec)
+        device = device_by_name(spec["device"])
+        surrogate = (serve_api.require_surrogate(cache, device)
+                     if spec["prefilter"] == "surrogate" else None)
+        fn, workload = serve_api.resolve_kernel(spec)
     except serve_api.ApiError as exc:
         raise _cli_error(exc) from None
+    model = FlexCL(device, cache=cache)
+    space = DesignSpace.default_for(
+        serve_api.spec_global_size(spec, workload))
+    result = explore(
+        space, serve_api.make_spec_analyzer(spec, fn, workload, device,
+                                            cache),
+        lambda info, d: model.predict(info, d).cycles, device,
+        jobs=args.jobs, cache_stats=lambda: model.cache_stats,
+        store_stats=None if cache is None else cache.stats.copy,
+        prefilter=spec["prefilter"], surrogate=surrogate,
+        top_k=spec["top_k"] or None)
+    payload = serve_api.explore_payload_from_result(spec, result, space,
+                                                    surrogate)
     if args.json:
         print(serve_api.canonical_json(payload))
         return 0
+    workers = f" on {result.jobs} workers" if result.jobs > 1 else ""
     print(f"explored {payload['evaluated']} designs "
-          f"({payload['feasible']} feasible)")
-    if payload.get("prefilter") == "surrogate":
+          f"({payload['feasible']} feasible) in "
+          f"{result.elapsed_seconds:.1f}s{workers}")
+    if result.prefilter == "surrogate":
         print(f"prefilter: surrogate "
               f"({payload['exact_evaluations']} exact evaluations "
               f"of {payload['feasible']} feasible — "
               f"{payload['feasible'] / max(payload['exact_evaluations'], 1):.1f}x fewer)")
+    if result.cache_stats.lookups:
+        print(result.cache_stats.summary())
+    if result.store_stats is not None and result.store_stats.lookups:
+        print(result.store_stats.summary())
     print(f"\ntop {args.top}:")
     for entry in payload["top"]:
         tag = (f"  [{entry['source']}]"
                if entry.get("source") == "surrogate" else "")
         print(f"  {entry['design']:<46} "
               f"{entry['cycles']:>12,.0f} cycles{tag}")
-    _print_cache_line(cache)
+    if workload is None:
+        _print_diagnostics(fn, args.source)
     return 0
 
 
@@ -553,33 +495,29 @@ def cmd_workloads(args) -> int:
 def cmd_suite(args) -> int:
     """Run the `suite` subcommand: batch-evaluate the workload catalog
     through the shared persistent cache."""
-    from repro.evaluation import default_suite_workloads, run_suite
     from repro.devices import device_by_name
+    from repro.evaluation import run_suite
+    from repro.serve import api as serve_api
 
     if args.json and args.export_features:
         raise CLIError("--export-features writes NDJSON to its own "
                        "file; drop --json")
-    if args.json:
-        from repro.serve import api as serve_api
-        spec = {"suite": args.suite, "limit": args.limit,
-                "designs": args.designs, "device": args.device}
-        try:
-            payload = serve_api.suite_payload(spec,
-                                              cache=_open_cache(args))
-        except serve_api.ApiError as exc:
-            raise _cli_error(exc) from None
-        print(serve_api.canonical_json(payload))
-        return 0
+    spec = {"suite": args.suite, "limit": args.limit,
+            "designs": args.designs, "device": args.device}
+    try:
+        spec = serve_api.normalize_suite_spec(spec)
+    except serve_api.ApiError as exc:
+        raise _cli_error(exc) from None
     device = device_by_name(args.device)
     cache = _open_cache(args)
-    try:
-        catalog = default_suite_workloads(args.suite, args.limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    catalog = serve_api.suite_catalog(spec)
     result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
                        designs_per_kernel=args.designs,
                        collect_features=bool(args.export_features))
+    if args.json:
+        print(serve_api.canonical_json(serve_api.suite_payload_from_rows(
+            spec, serve_api.suite_result_rows(result, catalog))))
+        return 0
     if args.export_features:
         from repro.surrogate import export_features
         written = export_features(args.export_features, result)

@@ -1,4 +1,4 @@
-"""Design-space exploration drivers.
+"""Design-space exploration and the one shard runner behind every sweep.
 
 An *evaluator* is any callable ``(info, design) -> cycles`` — the FlexCL
 model, a baseline estimator, or the ground-truth simulator.  Because the
@@ -6,22 +6,27 @@ work-group size changes the kernel's analysed behaviour, the explorer
 takes an ``analyze`` callable that produces (and caches) a
 :class:`~repro.analysis.KernelInfo` per work-group size.
 
-``explore(..., jobs=N)`` shards the space by work-group size and fans
-the shards out across a ``concurrent.futures`` process pool.  Workers
-are forked, so the ``analyze``/``evaluator`` closures need not be
-picklable; each worker re-runs the per-work-group-size analysis in its
-own process and evaluates only its shard.  Results are reassembled in
-enumeration order, so a parallel sweep is design-for-design and
-cycle-for-cycle identical to the serial one.
+:func:`run_shards` maps the shards of both exhaustive sweeps in
+the package: :func:`explore` splits the space into one shard per
+work-group size, :func:`repro.evaluation.run_suite` into one shard per
+catalog workload.  With one worker the shards run inline; with more
+they run on a forked ``concurrent.futures`` process pool, so the
+``analyze``/``evaluator`` closures are inherited rather than pickled
+and each worker analyses only the work-group sizes of its own shards.
+Results are merged in enumeration order, so a parallel sweep is
+design-for-design and cycle-for-cycle identical to the serial one.
+The CLI and the serve daemon call these sweeps and only render their
+results.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.store import StoreStats
 from repro.dse.space import Design, DesignSpace, check_feasibility
@@ -116,7 +121,8 @@ class ExplorationResult:
 
 def _evaluate_design(info, design: Design, evaluator, device
                      ) -> EvaluatedDesign:
-    """Evaluate one point (shared by the serial and parallel paths)."""
+    """Evaluate one point (shared by the exhaustive and pre-filtered
+    paths)."""
     if info is None:
         return EvaluatedDesign(
             design, float("inf"), feasible=False,
@@ -135,8 +141,8 @@ def resolve_jobs(jobs, limit: Optional[int] = None) -> int:
     *limit* caps the ``'auto'`` answer at the available shard count
     (work-group sizes for an explore, workloads for a suite run), so
     small spaces stop forking workers that would never receive a shard.
-    An explicit integer request is honoured as given — the pools
-    themselves never start more workers than shards."""
+    An explicit integer request is honoured as given —
+    :func:`run_shards` never starts more workers than shards."""
     if jobs is None:
         return 1
     if jobs in ("auto", 0):
@@ -150,84 +156,48 @@ def resolve_jobs(jobs, limit: Optional[int] = None) -> int:
     return jobs
 
 
-#: closures handed to forked workers (inherited address space, so the
-#: analyze/evaluator callables never cross a pickle boundary)
-_WORKER_STATE: Optional[tuple] = None
+#: the shard function of the :func:`run_shards` call that forked this
+#: worker process (handed over by fork, never pickled)
+_shard_work: Optional[Callable] = None
 
 
-def _run_shard(shard: List[Tuple[int, Design]]
-               ) -> Tuple[List[Tuple[int, EvaluatedDesign]],
-                          CacheStats, StoreStats]:
-    """Evaluate one work-group-size shard in a worker process.
+def _init_shard_worker(work: Callable) -> None:
+    global _shard_work
+    _shard_work = work
 
-    All designs in a shard share one work-group size, so the kernel is
-    analysed exactly once per worker task.  Returns the evaluated points
-    tagged with their enumeration index plus the shard's cache activity
-    (in-memory memo and persistent store).
+
+def _run_forked_shard(shard):
+    return _shard_work(shard)
+
+
+def run_shards(work: Callable, shards: Sequence, jobs=None
+               ) -> Tuple[list, int]:
+    """``[work(shard) for shard in shards]`` and the worker count it
+    ran on.
+
+    *jobs* is resolved by :func:`resolve_jobs` and capped at the shard
+    count.  One worker (or a platform without ``fork``) maps the shards
+    inline; more map them over a forked ``ProcessPoolExecutor``.
+    Workers inherit *work* — typically a closure over analyze/evaluator
+    callables — through fork; only shards and their results cross the
+    process boundary.  Results come back in shard order either way.
     """
-    analyze, evaluator, device, stats_fn, store_fn = _WORKER_STATE
-    before = stats_fn() if stats_fn is not None else CacheStats()
-    store_before = store_fn() if store_fn is not None else StoreStats()
-    try:
-        info = analyze(shard[0][1].work_group_size)
-    except Exception:
-        info = None
-    out = [(index, _evaluate_design(info, design, evaluator, device))
-           for index, design in shard]
-    after = stats_fn() if stats_fn is not None else CacheStats()
-    store_after = store_fn() if store_fn is not None else StoreStats()
-    return out, after - before, store_after - store_before
+    workers = min(resolve_jobs(jobs, limit=len(shards)), len(shards))
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    if workers <= 1 or not fork:
+        return [work(shard) for shard in shards], 1
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_shard_worker, initargs=(work,)) as pool:
+        return list(pool.map(_run_forked_shard, shards)), workers
 
 
-def _explore_serial(designs: List[Design], analyze, evaluator, device,
-                    result: ExplorationResult) -> None:
-    info_cache: Dict[int, object] = {}
-    for design in designs:
-        wg = design.work_group_size
-        if wg not in info_cache:
-            try:
-                info_cache[wg] = analyze(wg)
-            except Exception:
-                info_cache[wg] = None
-        result.append(_evaluate_design(info_cache[wg], design,
-                                       evaluator, device))
-
-
-def _explore_parallel(designs: List[Design], analyze, evaluator, device,
-                      stats_fn, store_fn, jobs: int,
-                      result: ExplorationResult) -> None:
-    """Fan work-group-size shards out over a forked process pool and
-    merge the results back into enumeration order."""
-    import concurrent.futures
-
-    global _WORKER_STATE
-    shards: Dict[int, List[Tuple[int, Design]]] = {}
-    for index, design in enumerate(designs):
-        shards.setdefault(design.work_group_size, []).append(
-            (index, design))
-
-    ctx = multiprocessing.get_context("fork")
-    _WORKER_STATE = (analyze, evaluator, device, stats_fn, store_fn)
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(shards)),
-                mp_context=ctx) as pool:
-            outcomes = list(pool.map(_run_shard, shards.values()))
-    finally:
-        _WORKER_STATE = None
-
-    merged: List[Optional[EvaluatedDesign]] = [None] * len(designs)
-    total_stats = CacheStats()
-    total_store = StoreStats()
-    for entries, stats, store in outcomes:
-        total_stats = total_stats + stats
-        total_store = total_store + store
-        for index, entry in entries:
-            merged[index] = entry
-    for entry in merged:
-        result.append(entry)
-    result.cache_stats = total_stats if stats_fn is not None else None
-    result.store_stats = total_store if store_fn is not None else None
+def _activity(cache_stats, store_stats) -> Tuple[CacheStats, StoreStats]:
+    """Current sub-model memo and persistent-store counters (zeros for
+    a counter the caller did not ask for)."""
+    return (cache_stats() if cache_stats is not None else CacheStats(),
+            store_stats() if store_stats is not None else StoreStats())
 
 
 #: default exact-evaluation slice of a pre-filtered sweep: top tenth of
@@ -373,8 +343,10 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
             ) -> ExplorationResult:
     """Exhaustively evaluate every feasible design in *space*.
 
-    *jobs* selects the worker count: ``None``/1 runs serially, an int
-    fans out over that many forked processes, ``'auto'`` uses one per
+    The space is split into one shard per work-group size (the kernel
+    is analysed once per shard) and the shards go through
+    :func:`run_shards`: *jobs* ``None``/1 runs them inline, an int fans
+    them out over that many forked processes, ``'auto'`` uses one per
     core.  Parallel results are bit-identical to serial ones.  Pass
     *cache_stats* (e.g. ``lambda: model.cache_stats``) to record the
     sweep's sub-model cache activity in the result, and *store_stats*
@@ -401,37 +373,45 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
     start = time.perf_counter()
     result = ExplorationResult()
     designs = list(space)
-    wg_count = len({d.work_group_size for d in designs})
-    n_jobs = resolve_jobs(jobs, limit=wg_count)
 
     if prefilter == "surrogate":
-        before = cache_stats() if cache_stats is not None else None
-        store_before = store_stats() if store_stats is not None else None
+        before = _activity(cache_stats, store_stats)
         _explore_prefiltered(designs, analyze, evaluator, device,
                              surrogate, top_k, explore_band, result)
-        if before is not None:
-            result.cache_stats = cache_stats() - before
-        if store_before is not None:
-            result.store_stats = store_stats() - store_before
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
-
-    use_parallel = (n_jobs > 1 and wg_count > 1 and designs
-                    and "fork" in multiprocessing.get_all_start_methods())
-
-    if use_parallel:
-        result.jobs = min(n_jobs, wg_count)
-        _explore_parallel(designs, analyze, evaluator, device,
-                          cache_stats, store_stats, n_jobs, result)
+        after = _activity(cache_stats, store_stats)
+        memo, store = after[0] - before[0], after[1] - before[1]
     else:
-        before = cache_stats() if cache_stats is not None else None
-        store_before = store_stats() if store_stats is not None else None
-        _explore_serial(designs, analyze, evaluator, device, result)
-        if before is not None:
-            result.cache_stats = cache_stats() - before
-        if store_before is not None:
-            result.store_stats = store_stats() - store_before
-    result.exact_evaluations = len(result.feasible)
+        shards: Dict[int, List[int]] = {}
+        for index, design in enumerate(designs):
+            shards.setdefault(design.work_group_size, []).append(index)
+
+        def run(indices: List[int]):
+            before = _activity(cache_stats, store_stats)
+            try:
+                info = analyze(designs[indices[0]].work_group_size)
+            except Exception:
+                info = None
+            entries = [_evaluate_design(info, designs[i], evaluator,
+                                        device) for i in indices]
+            after = _activity(cache_stats, store_stats)
+            return entries, after[0] - before[0], after[1] - before[1]
+
+        outcomes, result.jobs = run_shards(run, list(shards.values()),
+                                           jobs)
+        merged: List[Optional[EvaluatedDesign]] = [None] * len(designs)
+        memo, store = CacheStats(), StoreStats()
+        for indices, (entries, memo_delta, store_delta) in zip(
+                shards.values(), outcomes):
+            memo, store = memo + memo_delta, store + store_delta
+            for index, entry in zip(indices, entries):
+                merged[index] = entry
+        for entry in merged:
+            result.append(entry)
+        result.exact_evaluations = len(result.feasible)
+    if cache_stats is not None:
+        result.cache_stats = memo
+    if store_stats is not None:
+        result.store_stats = store
     result.elapsed_seconds = time.perf_counter() - start
     return result
 

@@ -1,9 +1,11 @@
 """Parallel batch evaluation of the whole workload catalog.
 
 :func:`run_suite` is the front end the persistent cache was built for:
-it fans the Rodinia/PolyBench catalog across a forked process pool,
-analyses every kernel at every feasible work-group size, and predicts a
-deterministic sample of design points per kernel with the FlexCL model.
+it splits the Rodinia/PolyBench catalog into one shard per workload and
+maps the shards through :func:`repro.dse.explorer.run_shards` (inline,
+or across a forked process pool), analysing every kernel at every
+feasible work-group size and predicting a deterministic sample of
+design points per kernel with the FlexCL model.
 All workers share one on-disk :class:`~repro.cache.ArtifactCache`, so
 the first (cold) run populates the store and every later run — in this
 process or any other — warm-starts in seconds.
@@ -15,13 +17,12 @@ suite run is row-for-row bit-identical to a cold or uncached one, which
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.store import StoreStats
-from repro.dse.explorer import resolve_jobs
+from repro.dse.explorer import run_shards
 from repro.dse.space import DesignSpace
 from repro.evaluation.harness import make_analyzer, sample_designs
 from repro.model import FlexCL
@@ -111,25 +112,6 @@ def _evaluate_workload(workload: Workload, device, cache,
     return out
 
 
-#: fork-inherited worker context (workload factories hold closures, so
-#: nothing here may cross a pickle boundary)
-_SUITE_STATE: Optional[tuple] = None
-
-
-def _run_suite_shard(indices: List[int]
-                     ) -> Tuple[List[Tuple[int, List[SuitePrediction]]],
-                                StoreStats]:
-    (workloads, device, cache, designs_per_kernel,
-     engine, collect_features) = _SUITE_STATE
-    before = cache.stats.copy() if cache is not None else StoreStats()
-    out = [(i, _evaluate_workload(workloads[i], device, cache,
-                                  designs_per_kernel, engine,
-                                  collect_features))
-           for i in indices]
-    after = cache.stats.copy() if cache is not None else StoreStats()
-    return out, after - before
-
-
 def run_suite(workloads: Sequence[Workload], device,
               jobs=None, cache=None,
               designs_per_kernel: int = 8,
@@ -138,8 +120,9 @@ def run_suite(workloads: Sequence[Workload], device,
     """Predict *designs_per_kernel* sampled design points for every
     workload in *workloads* on *device*.
 
-    *jobs* fans workloads out over forked worker processes (``'auto'``
-    = one per core, capped at the workload count); all workers read and
+    Each workload is one shard of :func:`~repro.dse.explorer.run_shards`:
+    *jobs* fans them out over forked worker processes (``'auto'`` = one
+    per core, capped at the workload count); all workers read and
     write the shared persistent *cache*, so parallel cold runs warm the
     store cooperatively and warm runs are embarrassingly fast.  Results
     are returned in catalog order and are identical for any *jobs*
@@ -155,48 +138,23 @@ def run_suite(workloads: Sequence[Workload], device,
     """
     start = time.perf_counter()
     workloads = list(workloads)
-    n_jobs = resolve_jobs(jobs, limit=len(workloads))
-    result = SuiteResult(workloads_evaluated=len(workloads))
 
-    use_parallel = (n_jobs > 1 and len(workloads) > 1
-                    and "fork" in multiprocessing.get_all_start_methods())
-    if use_parallel:
-        import concurrent.futures
-
-        global _SUITE_STATE
-        n_jobs = min(n_jobs, len(workloads))
-        shards = [list(range(s, len(workloads), n_jobs))
-                  for s in range(n_jobs)]
-        _SUITE_STATE = (workloads, device, cache, designs_per_kernel,
-                        engine, collect_features)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=n_jobs, mp_context=ctx) as pool:
-                outcomes = list(pool.map(_run_suite_shard, shards))
-        finally:
-            _SUITE_STATE = None
-        merged: List[Optional[List[SuitePrediction]]] = \
-            [None] * len(workloads)
-        total = StoreStats()
-        for entries, stats in outcomes:
-            total = total + stats
-            for index, preds in entries:
-                merged[index] = preds
-        for preds in merged:
-            result.predictions.extend(preds or [])
-        result.jobs = n_jobs
-        result.store_stats = total if cache is not None else None
-    else:
-        before = cache.stats.copy() if cache is not None else None
-        for workload in workloads:
-            result.predictions.extend(
-                _evaluate_workload(workload, device, cache,
+    def run(index: int) -> Tuple[List[SuitePrediction], StoreStats]:
+        before = cache.stats.copy() if cache is not None else StoreStats()
+        preds = _evaluate_workload(workloads[index], device, cache,
                                    designs_per_kernel, engine,
-                                   collect_features))
-        if before is not None:
-            result.store_stats = cache.stats - before
+                                   collect_features)
+        after = cache.stats.copy() if cache is not None else StoreStats()
+        return preds, after - before
 
+    outcomes, workers = run_shards(run, range(len(workloads)), jobs)
+    result = SuiteResult(workloads_evaluated=len(workloads), jobs=workers)
+    store = StoreStats()
+    for preds, delta in outcomes:
+        result.predictions.extend(preds)
+        store = store + delta
+    if cache is not None:
+        result.store_stats = store
     result.elapsed_seconds = time.perf_counter() - start
     return result
 

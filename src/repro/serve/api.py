@@ -5,6 +5,9 @@ This module is the single source of truth for what a prediction
 HTTP responses are both produced by the functions here, which is what
 makes the differential guarantee — a served response is byte-identical
 to the equivalent CLI invocation — enforceable rather than aspirational.
+Explore and suite payloads are renderings of a
+:func:`repro.dse.explore` / :func:`repro.evaluation.run_suite` result:
+this module runs no sweep loop of its own.
 
 Everything here is deterministic: payloads contain no wall-clock
 timings, worker counts, or cache statistics, only the modelled facts.
@@ -359,7 +362,8 @@ def _spec_inputs(fn, workload, global_size: int,
     return buffers, scalars
 
 
-def _spec_global_size(spec, workload) -> int:
+def spec_global_size(spec, workload) -> int:
+    """The NDRange size of a normalized predict/explore spec."""
     if spec["global_size"] is not None:
         return spec["global_size"]
     return workload.global_size
@@ -414,7 +418,7 @@ def predict_payload(spec: dict, cache=None,
                                        instant_memo=instant_memo)
     device = device_by_name(spec["device"])
     fn, workload = resolve_kernel(spec, module_memo)
-    global_size = _spec_global_size(spec, workload)
+    global_size = spec_global_size(spec, workload)
     design = spec_design(spec)
 
     payload: dict = {
@@ -481,7 +485,7 @@ def predict_payload(spec: dict, cache=None,
     return payload
 
 
-def _require_surrogate(cache, device):
+def require_surrogate(cache, device):
     """The trained surrogate for *device*, or a client-facing error
     telling the caller how to get one."""
     from repro.surrogate import load_model
@@ -522,11 +526,11 @@ def instant_predict_payload(spec: dict, cache=None,
     model_slot = ("model", device.name)
     model = memo.get(model_slot)
     if model is None:
-        model = _require_surrogate(cache, device)
+        model = require_surrogate(cache, device)
         memo[model_slot] = model
 
     fn, workload = resolve_kernel(spec, module_memo)
-    global_size = _spec_global_size(spec, workload)
+    global_size = spec_global_size(spec, workload)
     design = spec_design(spec)
     payload: dict = {
         "kernel": fn.name,
@@ -587,7 +591,7 @@ def make_spec_analyzer(spec: dict, fn, workload, device, cache=None
     from repro.analysis import analyze_kernel
     from repro.interp import NDRange
 
-    global_size = _spec_global_size(spec, workload)
+    global_size = spec_global_size(spec, workload)
     memo: Dict[int, object] = {}
 
     def analyze(wg: int):
@@ -612,49 +616,49 @@ def explore_work_group_sizes(spec: dict) -> List[int]:
     from repro.dse import DesignSpace
     spec = normalize_explore_spec(spec)
     _, workload = resolve_kernel(spec)
-    space = DesignSpace.default_for(_spec_global_size(spec, workload))
+    space = DesignSpace.default_for(spec_global_size(spec, workload))
     return list(space.work_group_sizes)
 
 
 def explore_rows(spec: dict, cache=None,
                  wg_sizes: Optional[Sequence[int]] = None
                  ) -> List[dict]:
-    """Evaluate every design of the default space whose work-group size
-    is in *wg_sizes* (None = all).  Rows carry their enumeration index
-    so sharded results reassemble into exactly the serial order."""
+    """Rows of :func:`~repro.dse.explore` over the designs of the
+    default space whose work-group size is in *wg_sizes* (None = all),
+    for the daemon's sharded sweeps."""
+    from dataclasses import replace
+
     from repro.devices import device_by_name
-    from repro.dse import DesignSpace, check_feasibility
+    from repro.dse import DesignSpace, explore
     from repro.model import FlexCL
 
     spec = normalize_explore_spec(spec)
     device = device_by_name(spec["device"])
     fn, workload = resolve_kernel(spec)
-    analyze = make_spec_analyzer(spec, fn, workload, device, cache)
     model = FlexCL(device, cache=cache)
-    space = DesignSpace.default_for(_spec_global_size(spec, workload))
-    wanted = None if wg_sizes is None else set(wg_sizes)
+    space = DesignSpace.default_for(spec_global_size(spec, workload))
+    swept = space if wg_sizes is None else replace(
+        space, work_group_sizes=tuple(wg for wg in space.work_group_sizes
+                                      if wg in wg_sizes))
+    result = explore(swept,
+                     make_spec_analyzer(spec, fn, workload, device, cache),
+                     lambda info, design: model.predict(info, design).cycles,
+                     device)
+    return explore_result_rows(result, space)
 
-    rows: List[dict] = []
-    for index, design in enumerate(space):
-        wg = design.work_group_size
-        if wanted is not None and wg not in wanted:
-            continue
-        row = {"index": index, "design": design.signature(),
-               "work_group_size": wg}
-        info = analyze(wg)
-        if info is None:
-            row.update(feasible=False, cycles=None,
-                       reason="analysis failed for this work-group size")
-        else:
-            reason = check_feasibility(info, design, device)
-            if reason is not None:
-                row.update(feasible=False, cycles=None, reason=reason)
-            else:
-                row.update(feasible=True,
-                           cycles=model.predict(info, design).cycles,
-                           reason=None)
-        rows.append(row)
-    return rows
+
+def explore_result_rows(result, space) -> List[dict]:
+    """The rows of an exhaustive sweep's result, each tagged with its
+    enumeration index in *space* (the full space, also when the sweep
+    covered only some of its work-group sizes), so sharded rows
+    reassemble into exactly the serial order."""
+    index = {design: i for i, design in enumerate(space)}
+    return [{"index": index[e.design], "design": e.design.signature(),
+             "work_group_size": e.design.work_group_size,
+             "feasible": e.feasible,
+             "cycles": e.cycles if e.feasible else None,
+             "reason": e.reject_reason}
+            for e in result.evaluated]
 
 
 def explore_payload_from_rows(spec: dict, rows: List[dict]) -> dict:
@@ -672,7 +676,7 @@ def explore_payload_from_rows(spec: dict, rows: List[dict]) -> dict:
     payload = {
         "kernel": fn.name,
         "device": spec["device"],
-        "global_size": _spec_global_size(spec, workload),
+        "global_size": spec_global_size(spec, workload),
         "evaluated": len(rows),
         "feasible": len(feasible),
         "top": [{"design": r["design"], "cycles": r["cycles"],
@@ -684,39 +688,28 @@ def explore_payload_from_rows(spec: dict, rows: List[dict]) -> dict:
     return payload
 
 
-def explore_prefiltered_payload(spec: dict, cache=None) -> dict:
-    """Surrogate-pre-ranked explore: score the whole space with the
-    trained surrogate, evaluate only the promising slice exactly.
+def explore_payload_from_result(spec: dict, result, space,
+                                surrogate=None) -> dict:
+    """The explore payload of a finished sweep of *space*.
 
-    The payload keeps the exhaustive shape (kernel/device/evaluated/
-    feasible/top) and adds the pre-filter provenance: which mode ran,
-    how many exact evaluations it took, which model scored the space,
-    and a per-row ``source`` ("model" or "surrogate")."""
-    from repro.devices import device_by_name
-    from repro.dse import DesignSpace
-    from repro.dse.explorer import explore
-    from repro.model import FlexCL
-
+    An exhaustive result goes through the same rows as the daemon's
+    shards.  A surrogate pre-filtered one keeps the exhaustive shape
+    (kernel/device/evaluated/feasible/top) and adds the pre-filter
+    provenance: which mode ran, how many exact evaluations it took,
+    which model (*surrogate*) scored the space, and a per-row
+    ``source`` ("model" or "surrogate")."""
     spec = normalize_explore_spec(spec)
-    device = device_by_name(spec["device"])
-    surrogate = _require_surrogate(cache, device)
+    if result.prefilter is None:
+        return explore_payload_from_rows(
+            spec, explore_result_rows(result, space))
     fn, workload = resolve_kernel(spec)
-    analyze = make_spec_analyzer(spec, fn, workload, device, cache)
-    model = FlexCL(device, cache=cache)
-    space = DesignSpace.default_for(_spec_global_size(spec, workload))
-    result = explore(
-        space, analyze,
-        lambda info, design: model.predict(info, design).cycles,
-        device, prefilter="surrogate", surrogate=surrogate,
-        top_k=spec["top_k"] or None)
-
     payload = {
         "kernel": fn.name,
         "device": spec["device"],
-        "global_size": _spec_global_size(spec, workload),
+        "global_size": spec_global_size(spec, workload),
         "evaluated": len(result.evaluated),
         "feasible": len(result.feasible),
-        "prefilter": "surrogate",
+        "prefilter": result.prefilter,
         "exact_evaluations": result.exact_evaluations,
         "surrogate": surrogate.describe(),
         "top": [{"design": e.design.signature(), "cycles": e.cycles,
@@ -730,12 +723,27 @@ def explore_prefiltered_payload(spec: dict, cache=None) -> dict:
 
 
 def explore_payload(spec: dict, cache=None) -> dict:
-    """Serial reference: evaluate the whole space, then assemble.
-    ``"prefilter": "surrogate"`` switches to the learned fast path."""
+    """Serial reference: sweep the whole space, then assemble.
+    ``"prefilter": "surrogate"`` scores the space with the trained
+    surrogate and evaluates only the promising slice exactly."""
+    from repro.devices import device_by_name
+    from repro.dse import DesignSpace, explore
+    from repro.model import FlexCL
+
     spec = normalize_explore_spec(spec)
-    if spec["prefilter"] == "surrogate":
-        return explore_prefiltered_payload(spec, cache)
-    return explore_payload_from_rows(spec, explore_rows(spec, cache))
+    if spec["prefilter"] != "surrogate":
+        return explore_payload_from_rows(spec, explore_rows(spec, cache))
+    device = device_by_name(spec["device"])
+    surrogate = require_surrogate(cache, device)
+    fn, workload = resolve_kernel(spec)
+    model = FlexCL(device, cache=cache)
+    space = DesignSpace.default_for(spec_global_size(spec, workload))
+    result = explore(
+        space, make_spec_analyzer(spec, fn, workload, device, cache),
+        lambda info, design: model.predict(info, design).cycles,
+        device, prefilter="surrogate", surrogate=surrogate,
+        top_k=spec["top_k"] or None)
+    return explore_payload_from_result(spec, result, space, surrogate)
 
 
 # ---------------------------------------------------------------------
@@ -835,26 +843,34 @@ def suite_catalog(spec: dict):
 def suite_shard_rows(spec: dict, cache=None,
                      indices: Optional[Sequence[int]] = None
                      ) -> List[Tuple[int, List[dict]]]:
-    """Evaluate the catalog workloads at *indices* (None = all),
-    returning ``(catalog_index, rows)`` pairs for order-stable
-    reassembly across pool workers."""
+    """Rows of :func:`~repro.evaluation.run_suite` over the catalog
+    workloads at *indices* (None = all), for the daemon's sharded
+    suite runs."""
     from repro.devices import device_by_name
-    from repro.evaluation.suite import _evaluate_workload
+    from repro.evaluation import run_suite
 
     spec = normalize_suite_spec(spec)
     catalog = suite_catalog(spec)
-    device = device_by_name(spec["device"])
     if indices is None:
         indices = range(len(catalog))
-    out: List[Tuple[int, List[dict]]] = []
-    for i in indices:
-        preds = _evaluate_workload(catalog[i], device, cache,
-                                   spec["designs"])
-        out.append((i, [{"workload": p.workload, "design": p.design,
-                         "cycles": p.cycles,
-                         "trace_source": p.trace_source}
-                        for p in preds]))
-    return out
+    result = run_suite([catalog[i] for i in indices],
+                       device_by_name(spec["device"]), cache=cache,
+                       designs_per_kernel=spec["designs"])
+    return suite_result_rows(result, catalog, indices)
+
+
+def suite_result_rows(result, catalog, indices: Optional[Sequence[int]]
+                      = None) -> List[Tuple[int, List[dict]]]:
+    """``(catalog_index, rows)`` pairs of a suite result over the
+    *catalog* workloads at *indices* (None = all), for order-stable
+    reassembly across pool workers."""
+    by_workload = result.by_workload()
+    if indices is None:
+        indices = range(len(catalog))
+    return [(i, [{"workload": p.workload, "design": p.design,
+                  "cycles": p.cycles, "trace_source": p.trace_source}
+                 for p in by_workload.get(catalog[i].qualified_name, [])])
+            for i in indices]
 
 
 def suite_payload_from_rows(spec: dict,
@@ -905,7 +921,7 @@ def request_key(endpoint: str, spec: dict,
         return digest(
             "serve-predict", function_fingerprint(fn),
             device_fingerprint(device_by_name(spec["device"])),
-            _spec_global_size(spec, workload),
+            spec_global_size(spec, workload),
             spec_design(spec).signature(),
             sorted(spec["args"].items()),
             spec["simulate"], spec["tier"],
@@ -917,7 +933,7 @@ def request_key(endpoint: str, spec: dict,
         return digest(
             "serve-explore", function_fingerprint(fn),
             device_fingerprint(device_by_name(spec["device"])),
-            _spec_global_size(spec, workload), spec["top"],
+            spec_global_size(spec, workload), spec["top"],
             sorted(spec["args"].items()),
             spec["prefilter"], spec["top_k"],
             spec["workload"] or "")

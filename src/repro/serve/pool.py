@@ -2,8 +2,11 @@
 
 Model evaluation is CPU-bound Python, so the default executor is a
 forked :class:`~concurrent.futures.ProcessPoolExecutor` sized by
-``--jobs`` — the same strategy as ``explore --jobs`` and
-``suite --jobs``.  Each forked worker opens its own handle on the
+``--jobs``.  Unlike :func:`repro.dse.explorer.run_shards`, which maps
+one sweep's shards and exits, this pool lives as long as the daemon
+and takes one :func:`~repro.serve.api.run_task` per request or streamed
+shard; each task runs the same ``explore``/``run_suite`` sweep inline.
+Each forked worker opens its own handle on the
 shared *disk* store (content-addressed + atomic writes make concurrent
 stores safe), and everything it computes lands there for the parent
 and future workers to reuse.

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -383,3 +385,58 @@ class TestPredictGraph:
         out = capsys.readouterr().out
         assert "dram realization" not in out
         assert "depth    4" in out
+
+
+class TestExploreRendering:
+    """`explore` runs one sweep; text and ``--json`` only render it."""
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("source,extra,message", [
+        ("__kernel void k(__global float* a) { a[0] = 1.0f; }",
+         ["--kernel", "nosuch"], "no kernel 'nosuch' in source (kernels: k)"),
+        ("int f(int x) { return x; }", [], "cannot compile source:"),
+        ("__kernel void k(__global float* a) { a[0] = ; }", [],
+         "cannot compile source: parse error"),
+    ], ids=["unknown-kernel", "no-kernel", "parse-error"])
+    def test_bad_source_is_a_usage_error(self, tmp_path, capsys, source,
+                                         extra, message, json_flag):
+        path = tmp_path / "bad.cl"
+        path.write_text(source)
+        rc = main(["explore", str(path), "--global-size", "256",
+                   "--no-cache"] + extra + json_flag)
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_text_and_json_list_the_same_designs(self, saxpy_file,
+                                                 capsys):
+        argv = ["explore", saxpy_file, "--global-size", "256",
+                "--top", "4", "--no-cache"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        listed = text.split("top 4:\n", 1)[1].splitlines()[:4]
+        shown = [(line.split()[0], line.split()[1]) for line in listed]
+        assert shown == [(e["design"], f"{e['cycles']:,.0f}")
+                         for e in payload["top"]]
+        assert f"explored {payload['evaluated']} designs " \
+               f"({payload['feasible']} feasible)" in text
+
+    def test_workload_explore_honours_jobs(self, capsys):
+        rc = main(["explore", "--workload", "rodinia/hotspot/hotspot",
+                   "--jobs", "2", "--top", "1", "--no-cache"])
+        assert rc == 0
+        assert " on 2 workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--workload", "rodinia/hotspot/hotspot"],
+        ["suite", "--limit", "3"],
+    ], ids=["explore", "suite"])
+    def test_json_is_independent_of_jobs(self, capsys, argv):
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(argv + ["--json", "--no-cache",
+                                "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

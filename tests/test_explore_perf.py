@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_kernel
+from repro.cache import ArtifactCache
 from repro.devices import VIRTEX7
 from repro.dse import DesignSpace, EvaluatedDesign, ExplorationResult, explore
 from repro.dse.explorer import resolve_jobs
 from repro.dse.space import Design
+from repro.evaluation import default_suite_workloads, run_suite
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, NDRange
 from repro.model import CacheStats, FlexCL
+from repro.model.memory import pattern_table_for
 from repro.scheduling import ResourceBudget
 
 SRC = r"""
@@ -61,6 +64,22 @@ class TestParallelExplore:
             assert s.feasible == p.feasible
             assert s.reject_reason == p.reject_reason
         assert parallel.jobs > 1
+
+    def test_parallel_suite_matches_serial_exactly(self, tmp_path):
+        """The suite's per-workload shards merge the same way: same
+        rows in catalog order, same persistent-store totals."""
+        pattern_table_for(VIRTEX7)   # one in-process Table-1 memo for both
+        workloads = default_suite_workloads("rodinia", limit=3)
+        serial = run_suite(workloads, VIRTEX7,
+                           cache=ArtifactCache(tmp_path / "serial"),
+                           designs_per_kernel=3)
+        parallel = run_suite(workloads, VIRTEX7, jobs=2,
+                             cache=ArtifactCache(tmp_path / "parallel"),
+                             designs_per_kernel=3)
+        assert serial.rows() == parallel.rows()
+        assert (serial.jobs, parallel.jobs) == (1, 2)
+        assert serial.store_stats == parallel.store_stats
+        assert serial.store_stats.puts.get("analysis", 0) >= 1
 
     def test_parallel_infeasible_wg_matches_serial(self):
         analyze = _analyzer(n=256)
